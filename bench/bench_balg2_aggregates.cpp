@@ -50,7 +50,8 @@ void PrintAggregateTable() {
                           : avg_bag.TotalCount().ToString();
     std::string label = "{";
     for (size_t i = 0; i < values.size(); ++i) {
-      label += (i ? "," : "") + std::to_string(values[i]);
+      if (i != 0) label += ',';
+      label += std::to_string(values[i]);
     }
     label += "}";
     uint64_t native_sum = std::accumulate(values.begin(), values.end(),

@@ -111,7 +111,7 @@ BENCHMARK(BM_Product_gov_on)->Arg(1 << 7);
 
 Bag Atoms(size_t n) {
   Bag::Builder b;
-  for (size_t i = 0; i < n; ++i) b.AddOne(MakeAtom("e" + std::to_string(i)));
+  for (size_t i = 0; i < n; ++i) b.AddOne(MakeAtom('e' + std::to_string(i)));
   auto r = std::move(b).Build();
   return r.ok() ? std::move(r).value() : Bag();
 }

@@ -77,7 +77,7 @@ BENCHMARK(BM_PowerbagDuplicates)->RangeMultiplier(4)->Range(4, 1024);
 void BM_PowersetDistinct(benchmark::State& state) {
   Bag::Builder builder;
   for (int64_t i = 0; i < state.range(0); ++i) {
-    builder.AddOne(MakeAtom("d" + std::to_string(i)));
+    builder.AddOne(MakeAtom('d' + std::to_string(i)));
   }
   Bag bag = std::move(builder).Build().value();
   Limits limits;

@@ -26,7 +26,7 @@ namespace {
 Bag UniformBag(uint64_t k, uint64_t m) {
   Bag::Builder builder;
   for (uint64_t i = 0; i < k; ++i) {
-    builder.Add(MakeAtom("c" + std::to_string(i)), Mult(m));
+    builder.Add(MakeAtom('c' + std::to_string(i)), Mult(m));
   }
   return std::move(builder).Build().value();
 }

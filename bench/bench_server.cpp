@@ -224,7 +224,7 @@ uint16_t SharedServerPort() {
     std::string literal = "let BIG = {{";
     for (int i = 0; i < 256; ++i) {
       if (i != 0) literal += ", ";
-      literal += "w" + std::to_string(i);
+      literal += 'w' + std::to_string(i);
     }
     literal += "}}";
     setup.RoundTrip("POST", "/v1/statement",

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   std::cout << "pages whose in-degree exceeds their out-degree "
                "(Example 4.1, one BALG¹ query per page):\n";
   for (size_t i = 0; i < num_pages; ++i) {
-    Value page = MakeAtom("v" + std::to_string(i));
+    Value page = MakeAtom('v' + std::to_string(i));
     Expr q = InDegreeGreaterThanOut(Input("Links"), page);
     auto r = eval.EvalToBag(q, db);
     if (!r.ok()) {

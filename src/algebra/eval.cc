@@ -346,8 +346,13 @@ class Walker {
 }  // namespace
 
 Result<Value> Evaluator::Eval(const Expr& expr, const Database& db) {
-  if (preflight_) {
-    BAGALG_RETURN_IF_ERROR(preflight_(expr, db));
+  return Eval(expr, db, preflight_);
+}
+
+Result<Value> Evaluator::Eval(const Expr& expr, const Database& db,
+                              const Preflight& preflight) {
+  if (preflight) {
+    BAGALG_RETURN_IF_ERROR(preflight(expr, db));
   }
   // Install the per-query governor for the whole walk; the Walker's ticker
   // binds to it at construction, after the scope is in place.

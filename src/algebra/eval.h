@@ -130,6 +130,11 @@ class Evaluator {
 
   /// Evaluates `expr` (which may denote any object) against `db`.
   Result<Value> Eval(const Expr& expr, const Database& db);
+  /// Eval with `preflight` in place of the installed one for this call; an
+  /// empty one admits. Lets a caller that already analyzed the statement
+  /// admit it from that analysis.
+  Result<Value> Eval(const Expr& expr, const Database& db,
+                     const Preflight& preflight);
 
   /// Evaluates and requires a bag-denoting result (the common query case).
   Result<Bag> EvalToBag(const Expr& expr, const Database& db);

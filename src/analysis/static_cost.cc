@@ -194,8 +194,26 @@ Shape ShapeFromType(const Type& t, const SizeBound& card) {
 
 Shape JoinShapes(const Shape& a, const Shape& b);
 
-/// Exact shape of a concrete value: bags carry their true total cardinality
-/// and the join of their members' shapes.
+Shape ShapeOfValue(const Value& v);
+
+/// Exact shape of a concrete bag: its true total cardinality and the join of
+/// its members' shapes. O(1) when the element type nests no bag: the members
+/// are atoms and tuples of atoms, so their shapes are the element type's and
+/// the join adds nothing. Only bags of nested bags walk their entries, for
+/// the inner cardinalities.
+Shape ShapeOfBag(const Bag& bag) {
+  Shape elem =
+      ShapeFromType(bag.element_type(), SizeBound::Constant(BigNat(0)));
+  if (bag.element_type().BagNesting() > 0) {
+    for (const BagEntry& e : bag.entries()) {
+      elem = JoinShapes(elem, ShapeOfValue(e.value));
+    }
+  }
+  return Shape::BagShape(SizeBound::Constant(bag.TotalCount()),
+                         std::move(elem));
+}
+
+/// Exact shape of a concrete value (see ShapeOfBag).
 Shape ShapeOfValue(const Value& v) {
   switch (v.kind()) {
     case Value::Kind::kAtom:
@@ -206,16 +224,8 @@ Shape ShapeOfValue(const Value& v) {
       for (const Value& f : v.fields()) fields.push_back(ShapeOfValue(f));
       return Shape::TupleShape(std::move(fields));
     }
-    case Value::Kind::kBag: {
-      const Bag& bag = v.bag();
-      Shape elem = ShapeFromType(bag.element_type(),
-                                 SizeBound::Constant(BigNat(0)));
-      for (const BagEntry& e : bag.entries()) {
-        elem = JoinShapes(elem, ShapeOfValue(e.value));
-      }
-      return Shape::BagShape(SizeBound::Constant(bag.TotalCount()),
-                             std::move(elem));
-    }
+    case Value::Kind::kBag:
+      return ShapeOfBag(v.bag());
   }
   return Shape::AtomShape();
 }
@@ -316,7 +326,7 @@ class CostWalker {
       case ExprKind::kInput: {
         if (facts_.db != nullptr) {
           BAGALG_ASSIGN_OR_RETURN(Bag bag, facts_.db->Get(n.name));
-          return WalkResult{ShapeOfValue(Value::FromBag(std::move(bag))), 0};
+          return WalkResult{ShapeOfBag(bag), 0};
         }
         auto it = schema_.find(n.name);
         if (it == schema_.end()) {
@@ -519,6 +529,9 @@ class CostWalker {
 
 Result<CostAnalysis> AnalyzeCost(const Expr& expr, const Schema& schema,
                                  const CostFacts& facts) {
+  static obs::Counter* const runs =
+      obs::GlobalMetrics().GetCounter("analysis.cost.runs");
+  runs->Increment();
   // Typecheck first: the walker leans on well-typedness and the node types
   // drive fixpoint widening.
   std::map<const ExprNode*, Type> node_types;
@@ -572,7 +585,12 @@ bool ExceedsBudget(const SizeBound& bound, const BigNat& max) {
 
 Status CheckBudget(const Expr& expr, const Database& db,
                    const CostBudget& budget) {
-  auto analysis = AnalyzeCost(expr, db.schema(), CostFacts::Exact(db));
+  return CheckBudget(
+      expr, AnalyzeCost(expr, db.schema(), CostFacts::Exact(db)), budget);
+}
+
+Status CheckBudget(const Expr& expr, const Result<CostAnalysis>& analysis,
+                   const CostBudget& budget) {
   // Ill-typed queries are admitted: evaluation produces the real error.
   if (!analysis.ok()) return Status::Ok();
   std::string offending_path;

@@ -127,6 +127,9 @@ struct CostAnalysis {
 
 /// Runs the abstract interpreter. TypeError/NotFound if the expression does
 /// not typecheck under `schema` (the analysis piggybacks on inferred types).
+/// O(expression nodes) in both modes, except that exact facts walk the
+/// entries of input bags whose elements nest bags (for the inner
+/// cardinalities). Every call counts in the "analysis.cost.runs" metric.
 Result<CostAnalysis> AnalyzeCost(const Expr& expr, const Schema& schema,
                                  const CostFacts& facts);
 
@@ -158,6 +161,13 @@ bool ExceedsBudget(const SizeBound& bound, const BigNat& max);
 /// admitted. Expressions that fail to typecheck are admitted too — the
 /// evaluator produces its own (better) error for those.
 Status CheckBudget(const Expr& expr, const Database& db,
+                   const CostBudget& budget);
+
+/// The same check over an analysis the caller already ran: `analysis` is
+/// AnalyzeCost(expr, db.schema(), CostFacts::Exact(db)), or its error,
+/// which is admitted. A statement's journal verdict and its admission share
+/// one analysis this way.
+Status CheckBudget(const Expr& expr, const Result<CostAnalysis>& analysis,
                    const CostBudget& budget);
 
 /// Adapts a budget into the preflight-hook shape consumed by

@@ -22,7 +22,9 @@ std::optional<AtomId> AtomTable::Find(std::string_view name) const {
 std::string AtomTable::NameOf(AtomId id) const {
   std::lock_guard<std::mutex> lock(mu_);
   if (id < names_.size()) return names_[id];
-  return "#" + std::to_string(id);
+  // A char prefix: GCC 12 at -O3 flags `"#" + std::string` with a
+  // false-positive -Wrestrict.
+  return '#' + std::to_string(id);
 }
 
 size_t AtomTable::size() const {

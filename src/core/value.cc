@@ -5,6 +5,7 @@
 #include <cassert>
 #include <iterator>
 #include <mutex>
+#include <set>
 
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
@@ -52,6 +53,10 @@ struct Bag::Rep {
   // elements. Mutable because the index is a cache on an immutable Rep.
   mutable std::once_flag index_once;
   mutable std::vector<uint32_t> index;
+  // Lazy per-column facts (Bag::TupleColumnFacts), computed at most once
+  // under `columns_once`.
+  mutable std::once_flag columns_once;
+  mutable std::vector<Bag::ColumnFacts> columns;
 };
 
 namespace {
@@ -404,10 +409,30 @@ const std::vector<BagEntry>& Bag::entries() const { return rep_->entries; }
 const Mult& Bag::TotalCount() const { return rep_->total; }
 
 bool Bag::IsSetLike() const {
-  for (const BagEntry& e : entries()) {
-    if (!e.count.IsOne()) return false;
-  }
-  return true;
+  return rep_->total == Mult(uint64_t{rep_->entries.size()});
+}
+
+const std::vector<Bag::ColumnFacts>& Bag::TupleColumnFacts() const {
+  const Rep& rep = *rep_;
+  std::call_once(rep.columns_once, [&rep] {
+    if (!rep.element_type.IsTuple() || rep.entries.empty()) return;
+    const size_t arity = rep.element_type.fields().size();
+    const Value& first_row = rep.entries[0].value;
+    rep.columns.resize(arity);
+    for (size_t c = 0; c < arity; ++c) {
+      const Value& first = first_row.fields()[c];
+      bool constant = true;
+      std::set<Value> seen;
+      for (const BagEntry& entry : rep.entries) {
+        const Value& v = entry.value.fields()[c];
+        if (constant && !(v == first)) constant = false;
+        seen.insert(v);
+      }
+      rep.columns[c].constant = constant;
+      rep.columns[c].unique = seen.size() == rep.entries.size();
+    }
+  });
+  return rep.columns;
 }
 
 Mult Bag::CountOf(const Value& value) const {

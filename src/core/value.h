@@ -178,8 +178,23 @@ class Bag {
   const Mult& TotalCount() const;
   /// True iff the bag has no occurrences.
   bool empty() const { return entries().empty(); }
-  /// True iff every multiplicity is 1 (the bag "is a set").
+  /// True iff every multiplicity is 1 (the bag "is a set"). O(1): every
+  /// count is at least 1, so they are all 1 exactly when the total equals
+  /// the number of distinct entries.
   bool IsSetLike() const;
+
+  /// What one column of a bag of tuples looks like across its entries.
+  struct ColumnFacts {
+    bool constant = false;  ///< every entry carries the same value here
+    bool unique = false;    ///< no two entries share a value here
+  };
+  /// Per-column facts of a bag whose element type is a tuple: one per
+  /// field, empty for other element types and for the empty bag. The first
+  /// call walks every entry (O(distinct · arity · log distinct)) and caches
+  /// the result on the shared representation, once and thread-safely, so
+  /// every copy of the bag answers later calls in O(1). Callers that must
+  /// keep the first call cheap gate it on DistinctCount().
+  const std::vector<ColumnFacts>& TupleColumnFacts() const;
 
   /// Multiplicity of `value` in this bag (zero if absent). Bags with at
   /// least kIndexThreshold distinct elements lazily build a hash index

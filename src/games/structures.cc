@@ -54,8 +54,11 @@ Result<StarGraphs> BuildFig1StarGraphs(int n) {
   // Fresh atoms named g<n>_1 .. g<n>_n (0-based indices internally).
   std::vector<AtomId> atoms;
   for (int i = 1; i <= n; ++i) {
-    atoms.push_back(
-        GlobalAtom("g" + std::to_string(n) + "_" + std::to_string(i)));
+    std::string name = "g";
+    name += std::to_string(n);
+    name += '_';
+    name += std::to_string(i);
+    atoms.push_back(GlobalAtom(name));
   }
 
   // Index-set families by the paper's induction (0-based indices).

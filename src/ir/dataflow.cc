@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
 #include <utility>
 
 namespace bagalg::ir {
@@ -14,13 +13,15 @@ namespace {
 /// this column set", which one witness answers.
 constexpr size_t kMaxKeys = 4;
 
-/// Per-column scans (key / constant detection) only run on bags at most
-/// this large: the facts must stay cheap enough to compute on every
-/// lowering, including inside bench loops.
+/// Per-column facts (key / constant detection) are only read for bags at
+/// most this large. Bag::TupleColumnFacts computes them once per bag value
+/// and caches them, so only the first plan over a bag pays the walk; the
+/// cap bounds that first walk.
 constexpr size_t kScanFactEntryCap = 4096;
 
-/// The all-counts-one walk (Bag::IsSetLike) is O(distinct); gate it so a
-/// huge scan doesn't turn plan-time into data-time.
+/// Scans at most this large get the all-counts-one (dup_free) fact.
+/// Bag::IsSetLike is O(1), but the gate stays so the facts, and the plans
+/// the passes derive from them, do not depend on how the check is made.
 constexpr size_t kSetLikeEntryCap = 1 << 16;
 
 uint64_t SatAdd(uint64_t a, uint64_t b) {
@@ -147,7 +148,9 @@ std::optional<std::vector<TupleField>> DecomposeTupleProgram(
 IrFacts Unknown() { return IrFacts{}; }
 
 /// Facts for a scan's bound bag. Exact where the bag is small enough to
-/// inspect; conservative (unknown) beyond the caps.
+/// inspect; conservative (unknown) beyond the caps. The data-dependent
+/// parts are cached on the bag's representation, so this is O(arity) for
+/// every plan after the first over the same bag value.
 IrFacts ScanFacts(const IrNode& node) {
   IrFacts facts;
   const Bag& bag = node.scan_bag;
@@ -164,18 +167,13 @@ IrFacts ScanFacts(const IrNode& node) {
   if (distinct <= kSetLikeEntryCap) facts.dup_free = bag.IsSetLike();
   if (facts.shape == IrFacts::Shape::kTuple && facts.arity > 0 &&
       distinct > 0 && distinct <= kScanFactEntryCap) {
-    const auto& entries = bag.entries();
+    const std::vector<Bag::ColumnFacts>& columns = bag.TupleColumnFacts();
+    const Value& first_row = bag.entries()[0].value;
     for (size_t c = 1; c <= facts.arity; ++c) {
-      bool constant = true;
-      std::set<Value> seen;
-      const Value& first = entries[0].value.fields()[c - 1];
-      for (const BagEntry& entry : entries) {
-        const Value& v = entry.value.fields()[c - 1];
-        if (constant && !(v == first)) constant = false;
-        seen.insert(v);
+      if (columns[c - 1].constant) {
+        facts.const_cols.emplace(c, first_row.fields()[c - 1]);
       }
-      if (constant) facts.const_cols.emplace(c, first);
-      if (seen.size() == distinct && facts.arity > 1) AddKey(&facts, {c});
+      if (columns[c - 1].unique && facts.arity > 1) AddKey(&facts, {c});
     }
   }
   return facts;

@@ -210,10 +210,16 @@ std::string RowProgram::ToString() const {
         stack.push_back(consts_[insn.arg].ToString());
         break;
       case OpCode::kProjField: {
-        std::string base = std::move(stack.back());
-        stack.pop_back();
-        stack.push_back(base == "x" ? "a" + std::to_string(insn.arg)
-                                    : base + ".a" + std::to_string(insn.arg));
+        // The field name replaces the projected operand in place: "x"
+        // becomes "a<k>", anything else gets ".a<k>" appended.
+        std::string& top = stack.back();
+        if (top == "x") {
+          top.clear();
+        } else {
+          top += '.';
+        }
+        top += 'a';
+        top += std::to_string(insn.arg);
         break;
       }
       case OpCode::kMakeTuple: {

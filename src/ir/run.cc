@@ -17,6 +17,19 @@ namespace bagalg::exec {
 
 namespace {
 
+/// The exec.engine.<name> counter of an engine that ran, resolved once per
+/// engine. Dispatch only ever runs kIr or kVolcano.
+obs::Counter* EngineRunsCounter(Engine used) {
+  if (used == Engine::kVolcano) {
+    static obs::Counter* const volcano =
+        obs::GlobalMetrics().GetCounter("exec.engine.volcano");
+    return volcano;
+  }
+  static obs::Counter* const ir =
+      obs::GlobalMetrics().GetCounter("exec.engine.ir");
+  return ir;
+}
+
 Result<Bag> RunIrEngine(const Database& db, const ExecOptions& options,
                         Result<ir::IrPlan>&& plan) {
   BAGALG_RETURN_IF_ERROR(plan.status());
@@ -58,9 +71,7 @@ Result<Bag> RunPipeline(const Expr& expr, const Database& db,
       options.report->engine_used = used;
       options.report->fell_back = fell_back;
     }
-    obs::GlobalMetrics()
-        .GetCounter(std::string("exec.engine.") + EngineName(used))
-        ->Increment();
+    EngineRunsCounter(used)->Increment();
   };
 
   if (engine == Engine::kVolcano) {

@@ -100,20 +100,27 @@ void ScriptRunner::SyncTracerMode() {
 }
 
 obs::JournalEntry ScriptRunner::BeginJournalEntry(
-    const std::string& kind, const std::string& statement, const Expr& expr) {
+    const std::string& kind, const std::string& statement,
+    const Result<analysis::CostAnalysis>& cost) {
   obs::JournalEntry entry;
   entry.kind = kind;
   entry.statement = statement;
   entry.statement_hash = obs::HashStatementText(statement);
   // Best-effort static verdict; an expression the analyzer cannot cost
   // (unknown names, type errors caught later) journals with empty fields.
-  auto cost = analysis::AnalyzeCost(expr, db_.schema(),
-                                    analysis::CostFacts::Exact(db_));
   if (cost.ok()) {
     entry.tractability = analysis::TractabilityName(cost->root.cls);
     entry.cost_bound = cost->root.bound.ToString();
   }
   return entry;
+}
+
+Evaluator::Preflight ScriptRunner::StatementPreflight(
+    const Result<analysis::CostAnalysis>& cost) const {
+  if (!budget_.has_value()) return {};
+  return [&cost, budget = &*budget_](const Expr& expr, const Database&) {
+    return analysis::CheckBudget(expr, cost, *budget);
+  };
 }
 
 void ScriptRunner::FinishStatement(obs::JournalEntry& entry,
@@ -132,7 +139,9 @@ void ScriptRunner::FinishStatement(obs::JournalEntry& entry,
   }
   if (!status.ok()) entry.status_message = status.ToString();
   journal_.Append(std::move(entry));
-  obs::GlobalMetrics().GetCounter("repl.statements")->Increment();
+  static obs::Counter* const statements =
+      obs::GlobalMetrics().GetCounter("repl.statements");
+  statements->Increment();
   // A governor trip is exactly when the black box earns its keep: snapshot
   // the ring before the next statement overwrites it.
   if (trip != TripKind::kNone && flight_on_) {
@@ -154,6 +163,8 @@ Result<std::string> ScriptRunner::RunLine(const std::string& line) {
 Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
   std::string stripped = line.substr(0, line.find('#'));
   auto [cmd, rest] = SplitCommand(stripped);
+  // Only a successful eval/count/exec leaves a result behind.
+  last_result_.reset();
   if (cmd.empty()) return std::string();
 
   if (cmd == "let") {
@@ -189,8 +200,11 @@ Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
 
   if (cmd == "eval" || cmd == "count") {
     BAGALG_ASSIGN_OR_RETURN(Expr e, ParseExpr(rest));
-    last_result_.reset();
-    obs::JournalEntry entry = BeginJournalEntry(cmd, rest, e);
+    // One exact-facts analysis per statement: the journal's verdict and the
+    // budget preflight both read it.
+    const Result<analysis::CostAnalysis> cost = analysis::AnalyzeCost(
+        e, db_.schema(), analysis::CostFacts::Exact(db_));
+    obs::JournalEntry entry = BeginJournalEntry(cmd, rest, cost);
     entry.engine = "eval";
     uint64_t steps_before = evaluator_.stats().steps;
     uint64_t t0 = obs::MonotonicNowNs();
@@ -201,7 +215,7 @@ Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
     // process. The governor lives on this stack frame only.
     cancel_.Reset();
     EvalGovernor governed(evaluator_, StatementGovernorOptions());
-    Result<Value> vr = evaluator_.Eval(e, db_);
+    Result<Value> vr = evaluator_.Eval(e, db_, StatementPreflight(cost));
     uint64_t wall_ns = obs::MonotonicNowNs() - t0;
     uint64_t cpu1 = obs::ThreadCpuNowNs();
     uint64_t steps = evaluator_.stats().steps - steps_before;
@@ -214,9 +228,12 @@ Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
     FinishStatement(entry, vr.status(), *governed.get());
     BAGALG_ASSIGN_OR_RETURN(Value v, std::move(vr));
     last_result_ = v;
-    obs::GlobalMetrics().GetCounter("repl.eval.steps")->Increment(steps);
-    obs::GlobalMetrics().GetHistogram("repl.eval.wall_us")
-        ->Observe(wall_ns / 1000);
+    static obs::Counter* const eval_steps =
+        obs::GlobalMetrics().GetCounter("repl.eval.steps");
+    static obs::Histogram* const eval_wall_us =
+        obs::GlobalMetrics().GetHistogram("repl.eval.wall_us");
+    eval_steps->Increment(steps);
+    eval_wall_us->Observe(wall_ns / 1000);
     std::string out = cmd == "count"
                           ? (v.IsBag() ? v.bag().TotalCount().ToString()
                                        : std::string())
@@ -239,15 +256,14 @@ Result<std::string> ScriptRunner::RunCommand(const std::string& line) {
     // with tracing on, per-pipeline spans land in the same trace as the
     // evaluator's.
     BAGALG_ASSIGN_OR_RETURN(Expr e, ParseExpr(rest));
-    last_result_.reset();
-    obs::JournalEntry entry = BeginJournalEntry(cmd, rest, e);
+    const Result<analysis::CostAnalysis> cost = analysis::AnalyzeCost(
+        e, db_.schema(), analysis::CostFacts::Exact(db_));
+    obs::JournalEntry entry = BeginJournalEntry(cmd, rest, cost);
     uint64_t t0 = obs::MonotonicNowNs();
     uint64_t cpu0 = obs::ThreadCpuNowNs();
     exec::ExecOptions options;
     options.tracer = tracer_.enabled() ? &tracer_ : nullptr;
-    if (budget_.has_value()) {
-      options.preflight = analysis::MakeBudgetPreflight(*budget_);
-    }
+    options.preflight = StatementPreflight(cost);
     cancel_.Reset();
     ResourceGovernor governor(StatementGovernorOptions());
     options.governor = &governor;
@@ -568,8 +584,8 @@ Result<std::string> ScriptRunner::RunScript(const std::string& text) {
     ++line_no;
     if (pending.empty()) command_start = line_no;
     // Commands may span lines while brackets remain open.
-    pending += (pending.empty() ? "" : " ") +
-               line.substr(0, line.find('#'));
+    if (!pending.empty()) pending += ' ';
+    pending += line.substr(0, line.find('#'));
     balance += BracketBalance(line);
     if (balance > 0) continue;
     balance = 0;

@@ -160,10 +160,18 @@ class ScriptRunner {
   GovernorOptions StatementGovernorOptions();
 
   /// Journal-entry scaffold for an eval/count/exec statement: statement
-  /// text/hash plus the static analyzer's verdict when it is derivable.
-  obs::JournalEntry BeginJournalEntry(const std::string& kind,
-                                      const std::string& statement,
-                                      const Expr& expr);
+  /// text/hash plus the static analyzer's verdict in `cost` when it is
+  /// derivable.
+  obs::JournalEntry BeginJournalEntry(
+      const std::string& kind, const std::string& statement,
+      const Result<analysis::CostAnalysis>& cost);
+
+  /// The budget preflight for one statement: checks the session budget
+  /// against `cost`, the statement's own exact-facts analysis, instead of
+  /// analyzing it again. Empty when no budget is set. `cost` must outlive
+  /// the returned function.
+  Evaluator::Preflight StatementPreflight(
+      const Result<analysis::CostAnalysis>& cost) const;
 
   /// Stamps the outcome (from the governor's trip kind and the Status),
   /// appends the entry, and on a governor trip captures the flight dump

@@ -1034,9 +1034,9 @@ class Server::Impl {
                                  Completion& completion) {
     StatementResult& result = completion.result;
     CountBucket(BucketFor(result.outcome));
-    obs::GlobalMetrics()
-        .GetHistogram("server.request.wall_us")
-        ->Observe(result.wall_us);
+    static obs::Histogram* const request_wall_us =
+        obs::GlobalMetrics().GetHistogram("server.request.wall_us");
+    request_wall_us->Observe(result.wall_us);
 
     if (result.status.ok()) {
       Envelope env;

@@ -1,6 +1,7 @@
 #include "src/obs/trace.h"
 
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -244,6 +245,21 @@ void WriteAttrValue(std::ostream& os, const AttrValue& value) {
   }
 }
 
+/// Writes `ns` as exact microseconds ("12.345", "7"): integer arithmetic
+/// keeps every nanosecond, where a %g double rendering rounds late
+/// timestamps to a few significant digits and breaks span containment.
+void WriteMicros(std::ostream& os, uint64_t ns) {
+  os << ns / 1000;
+  const unsigned frac = static_cast<unsigned>(ns % 1000);
+  if (frac == 0) return;
+  char buf[4];
+  std::snprintf(buf, sizeof(buf), "%03u", frac);
+  size_t len = 3;
+  while (buf[len - 1] == '0') --len;
+  os << '.';
+  os.write(buf, static_cast<std::streamsize>(len));
+}
+
 }  // namespace
 
 void WriteChromeTrace(const std::vector<TraceEvent>& events,
@@ -257,11 +273,11 @@ void WriteChromeTrace(const std::vector<TraceEvent>& events,
        << JsonQuote(e.category.empty() ? "bagalg" : e.category)
        << ",\"ph\":\"X\",\"pid\":1,\"tid\":" << (e.tid % 1000000)
        << ",\"ts\":";
-    WriteJsonNumber(os, static_cast<double>(e.start_ns) / 1000.0);
+    WriteMicros(os, e.start_ns);
     os << ",\"dur\":";
-    WriteJsonNumber(os, static_cast<double>(e.wall_ns) / 1000.0);
+    WriteMicros(os, e.wall_ns);
     os << ",\"args\":{\"cpu_us\":";
-    WriteJsonNumber(os, static_cast<double>(e.cpu_ns) / 1000.0);
+    WriteMicros(os, e.cpu_ns);
     os << ",\"depth\":" << e.depth << ",\"id\":" << e.id
        << ",\"parent\":" << e.parent_id;
     for (const auto& [name, value] : e.attrs) {

@@ -46,7 +46,10 @@ int BigInt::Compare(const BigInt& other) const {
 }
 
 std::string BigInt::ToString() const {
-  return (negative_ ? "-" : "") + magnitude_.ToString();
+  // A char prefix, not "-": GCC 12 at -O3 flags `"-" + std::string` with a
+  // false-positive -Wrestrict, which -Werror turns into a build failure.
+  if (negative_) return '-' + magnitude_.ToString();
+  return magnitude_.ToString();
 }
 
 std::ostream& operator<<(std::ostream& os, const BigInt& n) {

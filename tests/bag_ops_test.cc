@@ -246,7 +246,7 @@ TEST(BagOpsTest, Prop32DeltaPowersetExactFormula) {
     for (uint64_t m = 1; m <= 3; ++m) {
       Bag::Builder builder;
       for (uint64_t i = 0; i < k; ++i) {
-        builder.Add(A(("c" + std::to_string(i)).c_str()), Mult(m));
+        builder.Add(A(('c' + std::to_string(i)).c_str()), Mult(m));
       }
       Bag b = std::move(std::move(builder).Build()).value();
       auto dp = BagDestroy(Powerset(b).value());
@@ -256,7 +256,7 @@ TEST(BagOpsTest, Prop32DeltaPowersetExactFormula) {
       ASSERT_TRUE(half.ok());
       ASSERT_TRUE(half->remainder.IsZero());
       for (uint64_t i = 0; i < k; ++i) {
-        EXPECT_EQ(dp->CountOf(A(("c" + std::to_string(i)).c_str())),
+        EXPECT_EQ(dp->CountOf(A(('c' + std::to_string(i)).c_str())),
                   half->quotient)
             << "k=" << k << " m=" << m;
       }
@@ -271,7 +271,7 @@ TEST(BagOpsTest, Prop32DoubleDeltaDoublePowersetExactFormula) {
     for (uint64_t m = 1; m <= 2; ++m) {
       Bag::Builder builder;
       for (uint64_t i = 0; i < k; ++i) {
-        builder.Add(A(("d" + std::to_string(i)).c_str()), Mult(m));
+        builder.Add(A(('d' + std::to_string(i)).c_str()), Mult(m));
       }
       Bag b = std::move(std::move(builder).Build()).value();
       Limits limits;
@@ -285,7 +285,7 @@ TEST(BagOpsTest, Prop32DoubleDeltaDoublePowersetExactFormula) {
       BigNat expected =
           BigNat::TwoPow(mp1k - 2) * BigNat(mp1k) * BigNat(m);
       for (uint64_t i = 0; i < k; ++i) {
-        EXPECT_EQ(dd->CountOf(A(("d" + std::to_string(i)).c_str())), expected)
+        EXPECT_EQ(dd->CountOf(A(('d' + std::to_string(i)).c_str())), expected)
             << "k=" << k << " m=" << m;
       }
     }
@@ -496,8 +496,8 @@ TEST(BagOpsLimitsTest, PowerbagRespectsMultBudget) {
 TEST(BagOpsLimitsTest, ProductRespectsDistinctBudget) {
   Bag::Builder ba, bb;
   for (int i = 0; i < 40; ++i) {
-    ba.AddOne(MakeTuple({MakeAtom("l" + std::to_string(i))}));
-    bb.AddOne(MakeTuple({MakeAtom("r" + std::to_string(i))}));
+    ba.AddOne(MakeTuple({MakeAtom('l' + std::to_string(i))}));
+    bb.AddOne(MakeTuple({MakeAtom('r' + std::to_string(i))}));
   }
   Bag a = std::move(std::move(ba).Build()).value();
   Bag b = std::move(std::move(bb).Build()).value();

@@ -110,10 +110,10 @@ TEST(CountingTest, CardGreaterMatchesCardinalities) {
     for (uint64_t ns : {0u, 1u, 3u}) {
       Bag::Builder br, bs;
       for (uint64_t i = 0; i < nr; ++i) {
-        br.AddOne(MakeTuple({MakeAtom("r" + std::to_string(i))}));
+        br.AddOne(MakeTuple({MakeAtom('r' + std::to_string(i))}));
       }
       for (uint64_t i = 0; i < ns; ++i) {
-        bs.AddOne(MakeTuple({MakeAtom("s" + std::to_string(i))}));
+        bs.AddOne(MakeTuple({MakeAtom('s' + std::to_string(i))}));
       }
       Database db;
       ASSERT_TRUE(db.Put("R", std::move(std::move(br).Build()).value()).ok());

@@ -44,7 +44,7 @@ Value A(const std::string& name) { return MakeAtom(name); }
 /// A bag of n distinct atoms e0..e(n-1); pow() of it has 2^n subbags.
 Bag Atoms(size_t n) {
   Bag::Builder b;
-  for (size_t i = 0; i < n; ++i) b.AddOne(A("e" + std::to_string(i)));
+  for (size_t i = 0; i < n; ++i) b.AddOne(A('e' + std::to_string(i)));
   auto r = std::move(b).Build();
   EXPECT_TRUE(r.ok()) << r.status();
   return r.ok() ? std::move(r).value() : Bag();
@@ -322,7 +322,7 @@ TEST(GovernorEvalTest, ResultOrErrorIsThreadCountInvariant) {
 TEST(GovernorExecTest, PipelineHonorsTheGovernor) {
   Bag::Builder b;
   for (size_t i = 0; i < 40; ++i) {
-    b.AddOne(MakeTuple({A("a" + std::to_string(i)), A("b")}));
+    b.AddOne(MakeTuple({A('a' + std::to_string(i)), A("b")}));
   }
   auto left = std::move(b).Build();
   ASSERT_TRUE(left.ok());

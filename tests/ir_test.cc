@@ -57,8 +57,8 @@ Bag DistinctPairs(size_t n) {
   Bag::Builder builder;
   builder.Reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    builder.AddOne(MakeTuple({MakeAtom("k" + std::to_string(i)),
-                              MakeAtom("v" + std::to_string(i % 7))}));
+    builder.AddOne(MakeTuple({MakeAtom('k' + std::to_string(i)),
+                              MakeAtom('v' + std::to_string(i % 7))}));
   }
   auto bag = std::move(builder).Build();
   EXPECT_TRUE(bag.ok());

@@ -210,6 +210,25 @@ TEST(ScriptTest, LetEvalCountFlow) {
   EXPECT_EQ(*r2, "24");  // 2nm with n=4, m=3
 }
 
+TEST(ScriptTest, OnlyResultCommandsLeaveALastResult) {
+  ScriptRunner runner;
+  ASSERT_TRUE(runner.RunLine("let B = {{a, b*2}}").ok());
+  EXPECT_FALSE(runner.last_result().has_value());
+  ASSERT_TRUE(runner.RunLine("eval uplus(B, B)").ok());
+  ASSERT_TRUE(runner.last_result().has_value());
+  // A let after a result-producing statement must not carry that result.
+  ASSERT_TRUE(runner.RunLine("let C = {{c}}").ok());
+  EXPECT_FALSE(runner.last_result().has_value());
+  ASSERT_TRUE(runner.RunLine("exec uplus(C, C)").ok());
+  ASSERT_TRUE(runner.last_result().has_value());
+  ASSERT_TRUE(runner.RunLine("type C").ok());
+  EXPECT_FALSE(runner.last_result().has_value());
+  ASSERT_TRUE(runner.RunLine("count B").ok());
+  ASSERT_TRUE(runner.last_result().has_value());
+  ASSERT_TRUE(runner.RunLine("# a comment line").ok());
+  EXPECT_FALSE(runner.last_result().has_value());
+}
+
 TEST(ScriptTest, SchemaAndTypeCommands) {
   ScriptRunner runner;
   ASSERT_TRUE(runner.RunLine("schema G : {{[U, U]}}").ok());

@@ -310,6 +310,29 @@ TEST(ServerTest, StatementsRunAndSessionsAreIsolated) {
   EXPECT_EQ(stats.errors, 1u);
 }
 
+TEST(ServerTest, LetRepliesCarryNoResult) {
+  ServerOptions options;
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  const uint16_t port = (*server)->port();
+
+  auto eval = PostStatement(
+      port, R"js({"session":"s","statement":"eval '{{a, b}}"})js");
+  EXPECT_EQ(eval.status, 200) << eval.raw;
+  EXPECT_NE(eval.body.find("\"result\""), std::string::npos) << eval.body;
+
+  // The let right after a result-producing statement replies without one.
+  auto let = PostStatement(
+      port, R"js({"session":"s","statement":"let X = {{a, a, b}}"})js");
+  EXPECT_EQ(let.status, 200) << let.raw;
+  auto doc = ParseJson(let.body);
+  ASSERT_TRUE(doc.ok()) << doc.status() << "\n" << let.body;
+  EXPECT_EQ(doc->Find("result"), nullptr) << let.body;
+
+  (*server)->RequestShutdown();
+  (*server)->Wait();
+}
+
 TEST(ServerTest, BudgetRefusalIsTypedAndPermanent) {
   ServerOptions options;
   options.cost_budget = 1000;  // pow({{..16 atoms..}}) estimates 2^16 >> 1000

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <set>
@@ -19,6 +20,7 @@
 
 #include "src/core/bag_ops.h"
 #include "src/lang/script.h"
+#include "src/net/json_reader.h"
 #include "src/obs/flight.h"
 #include "src/obs/journal.h"
 #include "src/obs/metrics.h"
@@ -247,6 +249,66 @@ TEST(TracerTest, SetMaxEventsRacesWithRecordSafely) {
   for (auto& r : recorders) r.join();
   // No crash, and the buffer respected *some* cap along the way.
   EXPECT_LE(tracer.event_count(), size_t{1} << 20);
+}
+
+TEST(ChromeTraceTest, LateSpansKeepExactMicrosecondsAndNest) {
+  // Past 10 s a six-significant-digit rendering moves timestamps in 100 µs
+  // steps; these three spans straddle such a step, so only exact
+  // microseconds keep each child inside its parent.
+  const uint64_t base_ns = 12'345'649'001;
+  std::vector<obs::TraceEvent> events(3);
+  for (size_t i = 0; i < events.size(); ++i) {
+    obs::TraceEvent& e = events[i];
+    e.name = "late." + std::to_string(i);
+    e.category = "test";
+    e.id = i + 1;
+    e.parent_id = i;
+    e.depth = static_cast<uint32_t>(i);
+    e.tid = 7;
+  }
+  events[0].start_ns = base_ns;
+  events[0].wall_ns = 10'000;
+  events[1].start_ns = base_ns + 1'999;  // 12345651.000 µs
+  events[1].wall_ns = 8'000;
+  events[2].start_ns = base_ns + 2'250;
+  events[2].wall_ns = 7'748;  // ends 1 ns before its parent
+  events[2].cpu_ns = 1'230;
+  std::ostringstream os;
+  obs::WriteChromeTrace(events, os);
+  const std::string text = os.str();
+  EXPECT_NE(text.find("\"ts\":12345649.001,\"dur\":10,"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\"cpu_us\":1.23,"), std::string::npos) << text;
+
+  auto doc = net::ParseJson(text);
+  ASSERT_TRUE(doc.ok()) << doc.status() << "\n" << text;
+  const net::JsonValue* list = doc->Find("traceEvents");
+  ASSERT_NE(list, nullptr);
+  ASSERT_EQ(list->items.size(), events.size());
+  for (size_t i = 0; i < events.size(); ++i) {
+    const net::JsonValue& e = list->items[i];
+    EXPECT_EQ(e.Find("ts")->number, events[i].start_ns / 1000.0) << i;
+    EXPECT_EQ(e.Find("dur")->number, events[i].wall_ns / 1000.0) << i;
+    if (i == 0) continue;
+    const net::JsonValue& parent = list->items[i - 1];
+    const double ts = e.Find("ts")->number;
+    const double end = ts + e.Find("dur")->number;
+    const double parent_ts = parent.Find("ts")->number;
+    EXPECT_GE(ts, parent_ts) << i;
+    EXPECT_LE(end, parent_ts + parent.Find("dur")->number) << i;
+  }
+
+  // The repository's trace validator accepts it too.
+  const std::string path = ::testing::TempDir() + "late_spans_trace.json";
+  {
+    std::ofstream file(path);
+    file << text;
+  }
+  const std::string command = "python3 " BAGALG_SOURCE_DIR
+                              "/tools/validate_obs.py --trace " +
+                              path + " > /dev/null";
+  EXPECT_EQ(std::system(command.c_str()), 0) << command;
+  std::remove(path.c_str());
 }
 
 TEST(TracerTest, BufferingOffStillFeedsFlightRecorder) {

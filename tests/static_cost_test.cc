@@ -301,6 +301,83 @@ TEST(StaticCostTest, IllTypedExpressionsAreRejected) {
             StatusCode::kTypeError);
 }
 
+TEST(StaticCostTest, FlatInputsHaveTheirTypeShapeAtTheirTotalCount) {
+  Database db = CorpusDb();
+  Bag::Builder wide;
+  for (int i = 0; i < 5000; ++i) {
+    wide.Add(MakeTuple({MakeAtom('w' + std::to_string(i % 700)), A("c")}),
+             BigNat(static_cast<uint64_t>(1 + i % 3)));
+  }
+  ASSERT_TRUE(db.Put("W", *std::move(wide).Build()).ok());
+  for (const char* name : {"R", "S", "W"}) {
+    auto analysis =
+        AnalyzeCost(Input(name), db.schema(), CostFacts::Exact(db));
+    ASSERT_TRUE(analysis.ok()) << name;
+    const BigNat total = db.instances().at(name).TotalCount();
+    EXPECT_EQ(analysis->root.bound.ToString(),
+              SizeBound::Constant(total).ToString())
+        << name;
+  }
+  // Over one flat input, exact facts are the symbolic (type-derived)
+  // shape with the input's total count for n, at every node.
+  const BigNat n = db.instances().at("R").TotalCount();
+  Expr r = Input("R");
+  Expr first = Tup({Proj(Var(0), 1)});
+  const std::vector<Expr> corpus = {
+      Uplus(r, r),
+      Product(Product(r, r), r),
+      Map(first, r),
+      Select(Proj(Var(0), 1), Proj(Var(0), 2), r),
+      Eps(Uplus(r, r)),
+      ProjectAttrs(r, {1}),
+      NestExpr(r, {2}),
+      UnnestExpr(NestExpr(r, {2}), 2),
+      Destroy(Map(Beta(Var(0)), r)),
+      Monus(r, Uplus(r, r)),
+      Umax(r, Uplus(r, r)),
+      Inter(r, Uplus(r, r)),
+  };
+  for (const Expr& e : corpus) {
+    auto exact = AnalyzeCost(e, db.schema(), CostFacts::Exact(db));
+    auto symbolic = AnalyzeCost(e, db.schema(), CostFacts::Symbolic());
+    ASSERT_TRUE(exact.ok() && symbolic.ok()) << e.ToString();
+    for (const auto& [node, cost] : symbolic->per_node) {
+      ASSERT_TRUE(cost.bound.IsFinite()) << e.ToString();
+      const BigInt at_n = cost.bound.poly.Eval(n);
+      ASSERT_FALSE(at_n.IsNegative()) << e.ToString();
+      EXPECT_EQ(exact->per_node.at(node).bound.ToString(),
+                SizeBound::Constant(at_n.magnitude()).ToString())
+          << e.ToString() << " at " << ExprKindName(node->kind);
+    }
+  }
+}
+
+TEST(StaticCostTest, NestedElementInputsKeepTheirInnerCardinality) {
+  Database db = CorpusDb();
+  // Inner bags of 2 and 3 occurrences: unnesting N yields 5 rows, bounded
+  // by |N| times the largest inner bag.
+  auto unnest =
+      AnalyzeCost(UnnestExpr(Input("N"), 2), db.schema(), CostFacts::Exact(db));
+  ASSERT_TRUE(unnest.ok()) << unnest.status();
+  EXPECT_EQ(unnest->root.bound.ToString(),
+            SizeBound::Constant(BigNat(6)).ToString());
+  // A bag of bags: 3 inner bags, the largest with 2 occurrences.
+  ASSERT_TRUE(
+      db.Put("BB", MakeBag({{Value::FromBag(MakeBagOf({A("a"), A("b")})), 1},
+                            {Value::FromBag(MakeBagOf({A("c")})), 2}}))
+          .ok());
+  auto flat =
+      AnalyzeCost(Destroy(Input("BB")), db.schema(), CostFacts::Exact(db));
+  ASSERT_TRUE(flat.ok()) << flat.status();
+  EXPECT_EQ(flat->root.bound.ToString(),
+            SizeBound::Constant(BigNat(6)).ToString());
+  Evaluator ev(Limits::Default());
+  auto v = ev.Eval(Destroy(Input("BB")), db);
+  ASSERT_TRUE(v.ok());
+  ExpectBoundDominates(flat->root.bound, BigNat(0), ActualSize(*v),
+                       "destroy(BB)");
+}
+
 // ------------------------------------------------------------- SizeBound
 
 TEST(SizeBoundTest, LatticeArithmetic) {
@@ -608,6 +685,42 @@ TEST(ScriptLintTest, ExplainCostCommand) {
   ASSERT_TRUE(out.ok()) << out.status().ToString();
   EXPECT_NE(out->find("[poly"), std::string::npos) << *out;
   EXPECT_NE(out->find("est<="), std::string::npos) << *out;
+}
+
+TEST(ScriptLintTest, BudgetedStatementsAnalyzeTheirCostOnce) {
+  obs::Counter* runs = obs::GlobalMetrics().GetCounter("analysis.cost.runs");
+  obs::Counter* refusals = obs::GlobalMetrics().GetCounter("budget.refusals");
+  obs::Counter* preflight_refusals =
+      obs::GlobalMetrics().GetCounter("governor.preflight.refusals");
+  lang::ScriptRunner runner;
+  ASSERT_TRUE(runner.RunLine("let R = {{[a, b], [c, d], [a, d]}}").ok());
+  ASSERT_TRUE(runner.RunLine("\\budget 100").ok());
+  // The journal verdict and the budget preflight share one analysis.
+  for (const char* line : {"eval prod(R, R)", "count prod(R, R)"}) {
+    const uint64_t before = runs->value();
+    ASSERT_TRUE(runner.RunLine(line).ok()) << line;
+    EXPECT_EQ(runs->value(), before + 1) << line;
+  }
+  // exec analyzes the statement once more while lowering, for the
+  // optimized plan's row estimates.
+  uint64_t before = runs->value();
+  ASSERT_TRUE(runner.RunLine("exec prod(R, R)").ok());
+  EXPECT_EQ(runs->value(), before + 2);
+
+  // Refusals: one analysis, one count in each refusal family.
+  ASSERT_TRUE(runner.RunLine("\\budget 5").ok());
+  for (const char* line : {"eval prod(R, R)", "exec prod(R, R)"}) {
+    before = runs->value();
+    const uint64_t refused_before = refusals->value();
+    const uint64_t preflight_before = preflight_refusals->value();
+    EXPECT_EQ(runner.RunLine(line).status().code(),
+              StatusCode::kBudgetExceeded)
+        << line;
+    EXPECT_EQ(runs->value(), before + 1) << line;
+    EXPECT_EQ(refusals->value(), refused_before + 1) << line;
+    EXPECT_EQ(preflight_refusals->value(), preflight_before + 1) << line;
+    EXPECT_EQ(runner.journal().Tail(1).at(0).outcome, "budget-refused");
+  }
 }
 
 TEST(ScriptLintTest, BudgetCommandGuardsEvalAndExec) {

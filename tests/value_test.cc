@@ -199,7 +199,9 @@ TEST(IsoTest, RenamingPreservesStructureAndCounts) {
 TEST(IsoTest, RandomPermutationIsBijective) {
   Rng rng(42);
   std::vector<AtomId> atoms;
-  for (int i = 0; i < 10; ++i) atoms.push_back(GlobalAtom("p" + std::to_string(i)));
+  for (int i = 0; i < 10; ++i) {
+    atoms.push_back(GlobalAtom('p' + std::to_string(i)));
+  }
   Isomorphism iso = Isomorphism::RandomPermutation(atoms, rng);
   std::set<AtomId> images;
   for (AtomId id : atoms) images.insert(iso.Apply(id));

@@ -10,8 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -234,6 +237,207 @@ TEST(IrFactsTest, ExplainIrFactsRendersTheAnnotations) {
   EXPECT_NE(out->find("dup_free"), std::string::npos) << *out;
   EXPECT_NE(out->find("rows="), std::string::npos) << *out;
   EXPECT_NE(out->find("const{1=k0}"), std::string::npos) << *out;
+}
+
+// ------------------------------------------------ scan facts, cached
+
+/// A copy of `bag` with its own representation, so nothing computed for
+/// `bag` is cached on it yet.
+Bag FreshCopy(const Bag& bag) {
+  return Bag::FromCanonicalEntries(bag.element_type(), bag.entries());
+}
+
+/// The per-column facts a scan of `bag` must carry, recomputed here by
+/// walking every entry: constant columns, and single-column keys (in
+/// column order, at most four, none on unary rows). Empty beyond 4096
+/// distinct entries, where the planner does not inspect columns.
+struct ColumnReference {
+  std::map<size_t, Value> const_cols;
+  std::vector<std::vector<size_t>> keys;
+};
+
+ColumnReference ReferenceColumns(const Bag& bag) {
+  ColumnReference ref;
+  const Type& element = bag.element_type();
+  if (!element.IsTuple() || bag.empty() || bag.DistinctCount() > 4096) {
+    return ref;
+  }
+  const size_t arity = element.fields().size();
+  for (size_t c = 1; c <= arity; ++c) {
+    std::set<Value> seen;
+    bool constant = true;
+    const Value& first = bag.entries()[0].value.fields()[c - 1];
+    for (const BagEntry& e : bag.entries()) {
+      const Value& v = e.value.fields()[c - 1];
+      constant = constant && v == first;
+      seen.insert(v);
+    }
+    if (constant) ref.const_cols.emplace(c, first);
+    if (seen.size() == bag.DistinctCount() && arity > 1 &&
+        ref.keys.size() < 4) {
+      ref.keys.push_back({c});
+    }
+  }
+  return ref;
+}
+
+void ExpectSameFacts(const IrFacts& a, const IrFacts& b,
+                     const std::string& what) {
+  EXPECT_EQ(a.shape, b.shape) << what;
+  EXPECT_EQ(a.arity, b.arity) << what;
+  EXPECT_EQ(a.dup_free, b.dup_free) << what;
+  EXPECT_EQ(a.keys, b.keys) << what;
+  EXPECT_EQ(a.const_cols, b.const_cols) << what;
+  EXPECT_EQ(a.disjoint_children, b.disjoint_children) << what;
+  EXPECT_EQ(a.min_rows, b.min_rows) << what;
+  EXPECT_EQ(a.max_rows, b.max_rows) << what;
+  EXPECT_EQ(a.ToString(), b.ToString()) << what;
+}
+
+/// Bags covering every scan-fact case: set-like and duplicate-heavy,
+/// key and constant columns, unary and non-tuple rows, random wide bags,
+/// and one bag past the per-column cap.
+std::vector<Bag> ScanFactCorpus() {
+  Database db = CorpusDb();
+  std::vector<Bag> bags;
+  for (const auto& [name, bag] : db.instances()) bags.push_back(bag);
+  bags.push_back(TwoColBag());
+  bags.push_back(MakeBag({{MakeTuple({A("k0"), A("c"), A("v0")}), 1},
+                          {MakeTuple({A("k1"), A("c"), A("v0")}), 3},
+                          {MakeTuple({A("k2"), A("c"), A("v1")}), 1}}));
+  bags.push_back(MakeBagOf({A("x"), A("y")}));
+  Rng rng(7);
+  for (size_t arity : {1u, 3u, 6u}) {
+    FlatBagSpec spec;
+    spec.arity = arity;
+    spec.num_atoms = 40;
+    spec.num_elements = 300;
+    bags.push_back(RandomFlatBag(rng, spec));
+  }
+  Bag::Builder wide;
+  for (size_t i = 0; i < 4200; ++i) {
+    wide.AddOne(MakeTuple({MakeAtom('w' + std::to_string(i)), A("c")}));
+  }
+  bags.push_back(*std::move(wide).Build());
+  return bags;
+}
+
+/// Facts of a one-scan plan over `bag`.
+IrFacts ScanPlanFacts(const Bag& bag) {
+  IrPlan plan;
+  plan.root = ScanOf("X", bag);
+  auto facts = ComputeIrFacts(plan);
+  EXPECT_TRUE(facts.ok()) << facts.status();
+  return facts.ok() ? facts->at(plan.root.get()) : IrFacts{};
+}
+
+TEST(IrFactsTest, CachedScanFactsEqualAFreshComputation) {
+  for (const Bag& original : ScanFactCorpus()) {
+    const std::string what = original.ToString().substr(0, 80);
+    const Bag bag = FreshCopy(original);
+    const IrFacts first = ScanPlanFacts(bag);   // walks, then caches
+    const IrFacts second = ScanPlanFacts(bag);  // reads the cache
+    ExpectSameFacts(first, second, what);
+    ExpectSameFacts(first, ScanPlanFacts(FreshCopy(original)), what);
+    const ColumnReference ref = ReferenceColumns(original);
+    EXPECT_EQ(first.const_cols, ref.const_cols) << what;
+    EXPECT_EQ(first.keys, ref.keys) << what;
+    EXPECT_EQ(first.dup_free, original.IsSetLike()) << what;
+    EXPECT_EQ(first.max_rows, original.DistinctCount()) << what;
+  }
+}
+
+void CollectNodes(const IrNode* node, std::vector<const IrNode*>* out) {
+  out->push_back(node);
+  for (const auto& child : node->children) CollectNodes(child.get(), out);
+}
+
+TEST(IrFactsTest, PlanFactsMatchBetweenWarmAndFreshInstances) {
+  const Database warm = CorpusDb();
+  const std::vector<Expr> corpus = {
+      Input("R"),
+      Eps(Input("S")),
+      Select(Proj(Var(0), 1), ConstExpr(A("k0")), Input("R")),
+      Select(Proj(Var(0), 2), Proj(Var(0), 4),
+             Product(Input("R"), Input("R2"))),
+      Map(Tup({Proj(Var(0), 1)}), Uplus(Input("R"), Input("R2"))),
+      Monus(Input("R"), Input("R2")),
+      Inter(Input("R"), Uplus(Input("R"), Input("R2"))),
+  };
+  for (const Expr& q : corpus) {
+    // Lowering twice over `warm` reads cached scan facts the second time;
+    // a fresh instance with the same contents computes them anew.
+    for (int round = 0; round < 2; ++round) {
+      const Database fresh_db = CorpusDb();
+      auto cached = LowerToIr(q, warm);
+      auto fresh = LowerToIr(q, fresh_db);
+      ASSERT_TRUE(cached.ok() && fresh.ok()) << q.ToString();
+      auto cached_facts = ComputeIrFacts(*cached);
+      auto fresh_facts = ComputeIrFacts(*fresh);
+      ASSERT_TRUE(cached_facts.ok() && fresh_facts.ok()) << q.ToString();
+      std::vector<const IrNode*> a, b;
+      CollectNodes(cached->root.get(), &a);
+      CollectNodes(fresh->root.get(), &b);
+      ASSERT_EQ(a.size(), b.size()) << q.ToString();
+      for (size_t i = 0; i < a.size(); ++i) {
+        ExpectSameFacts(cached_facts->at(a[i]), fresh_facts->at(b[i]),
+                        q.ToString() + " node " + std::to_string(i));
+      }
+      EXPECT_EQ(ir::ExplainIrPlan(*cached), ir::ExplainIrPlan(*fresh))
+          << q.ToString();
+    }
+  }
+}
+
+TEST(IrFactsTest, RebindingANameYieldsFreshFacts) {
+  Database db;
+  ASSERT_TRUE(db.Put("T", MakeBagOf({MakeTuple({A("k0"), A("c")}),
+                                     MakeTuple({A("k1"), A("c")})}))
+                  .ok());
+  auto before = ir::ExplainIrFacts(Input("T"), db);
+  ASSERT_TRUE(before.ok()) << before.status();
+  EXPECT_NE(before->find("const{2=c}"), std::string::npos) << *before;
+  EXPECT_NE(before->find("key{1}"), std::string::npos) << *before;
+
+  // Same name, new value: now column 1 is constant and column 2 the key.
+  ASSERT_TRUE(db.Put("T", MakeBagOf({MakeTuple({A("k0"), A("c")}),
+                                     MakeTuple({A("k0"), A("d")})}))
+                  .ok());
+  auto after = ir::ExplainIrFacts(Input("T"), db);
+  ASSERT_TRUE(after.ok()) << after.status();
+  EXPECT_EQ(after->find("const{2=c}"), std::string::npos) << *after;
+  EXPECT_NE(after->find("const{1=k0}"), std::string::npos) << *after;
+  EXPECT_EQ(after->find("key{1}"), std::string::npos) << *after;
+  EXPECT_NE(after->find("key{2}"), std::string::npos) << *after;
+}
+
+TEST(IrFactsTest, ConcurrentPlansOverOneSharedBagAgree) {
+  Rng rng(11);
+  FlatBagSpec spec;
+  spec.arity = 3;
+  spec.num_atoms = 60;
+  spec.num_elements = 2000;
+  // A fresh representation: all eight threads race to fill its cache.
+  const Bag shared = FreshCopy(RandomFlatBag(rng, spec));
+  const std::string expected = ScanPlanFacts(FreshCopy(shared)).ToString();
+  constexpr int kThreads = 8;
+  std::vector<IrPlan> plans(kThreads);
+  for (IrPlan& plan : plans) plan.root = ScanOf("X", shared);
+  std::vector<std::string> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&plans, &seen, t] {
+      const IrPlan& plan = plans[static_cast<size_t>(t)];
+      for (int i = 0; i < 20; ++i) {
+        auto facts = ComputeIrFacts(plan);
+        seen[static_cast<size_t>(t)] =
+            facts.ok() ? facts->at(plan.root.get()).ToString()
+                       : facts.status().ToString();
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(seen[t], expected) << t;
 }
 
 // --------------------------------------------------- fact-driven passes
