@@ -21,7 +21,6 @@
 #include <sstream>
 #include <string>
 
-#include "src/exec/compile.h"
 #include "src/lang/script.h"
 #include "src/util/build_info.h"
 
@@ -88,8 +87,7 @@ int main(int argc, char** argv) {
 
   bool interactive = true;
   if (interactive) {
-    std::cout << BuildInfoString() << " engine="
-              << exec::EngineName(exec::EngineFromEnv()) << "\n"
+    std::cout << BuildInfoString() << " engine=ir\n"
               << "bagalg — a nested bag algebra (Grumbach & Milo, PODS'93)\n"
               << "commands: let, schema, eval, count, exec, type, analyze, "
                  "explain [analyze|cost|ir], optimize, stats, timing, \\lint, "

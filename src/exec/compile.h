@@ -2,99 +2,55 @@
 #define BAGALG_EXEC_COMPILE_H_
 
 /// \file compile.h
-/// Compiles BALG¹ expressions into physical operator pipelines.
+/// Dispatch for the `exec` path: runs a BALG¹ plan on the fused IR engine
+/// (src/ir).
 ///
-/// The supported fragment is exactly the paper's tractable one (§4): no
-/// powerset, no bag-destroy, no fixpoints, no nested-bag construction, and
-/// lambda bodies restricted to object level (τ / α / const / the binder).
-/// Everything else returns Unsupported — callers fall back to the
-/// tree-walking evaluator.
-///
-/// The fused IR engine (src/ir) lowers the same fragment; its plans are
-/// additionally checked by the IR verifier after every optimization pass
-/// (src/ir/verify.h, on by default in Debug and under BAGALG_IR_VERIFY=1),
-/// so engine dispatch (Engine::kAuto below) only ever runs verified IR
-/// plans or this module's Volcano pipeline.
+/// RunPipeline runs the admission preflight, lowers the plan with
+/// ir::LowerToIr and executes it with ir::ExecuteIr under the query's
+/// governor. A plan the IR cannot lower fails with the IR's plan-time
+/// status, unchanged: kUnsupported outside the paper's tractable fragment
+/// (§4: no powerset, bag-destroy, fixpoints, nested-bag construction, or
+/// lambda bodies above object level), kTypeError for ill-typed plans, and
+/// kNotFound for unknown inputs. Nothing falls back to another engine;
+/// full BALG runs on the tree-walking evaluator (`eval`).
 
 #include <functional>
 
 #include "src/algebra/database.h"
 #include "src/algebra/expr.h"
-#include "src/exec/operators.h"
+#include "src/obs/trace.h"
 #include "src/util/governor.h"
 #include "src/util/result.h"
 
 namespace bagalg::exec {
 
-/// Which execution engine RunPipeline uses.
-enum class Engine {
-  /// Honor BAGALG_EXEC_ENGINE ("ir", or "interp"/"volcano"); when unset,
-  /// prefer the fused IR engine and fall back to Volcano for plans the IR
-  /// cannot lower.
-  kAuto,
-  /// The tuple-at-a-time Volcano pipeline (this module).
-  kVolcano,
-  /// The fused batched IR engine (src/ir). Strict: plans outside the IR
-  /// fragment fail with kUnsupported instead of falling back.
-  kIr,
-};
-
-/// "auto" / "volcano" / "ir".
-const char* EngineName(Engine engine);
-
-/// Reads BAGALG_EXEC_ENGINE: "ir" selects the IR engine (with Volcano
-/// fallback for unlowerable plans), "interp" / "volcano" the Volcano
-/// pipeline. kAuto when unset or unrecognized.
-Engine EngineFromEnv();
-
-/// What RunPipeline actually did, for journaling and tests.
-struct ExecReport {
-  Engine engine_used = Engine::kVolcano;
-  /// True when the IR engine was preferred but the plan failed to lower
-  /// and the Volcano pipeline ran instead.
-  bool fell_back = false;
-};
-
 /// Execution knobs. Default-constructed options run uninstrumented.
 struct ExecOptions {
-  /// When non-null and enabled, every physical operator is wrapped with a
-  /// tracing decorator (see WrapWithTracing) and RunPipeline adds a root
-  /// "exec.pipeline" span.
+  /// When non-null and enabled, RunPipeline adds a root "exec.pipeline"
+  /// span and the IR engine its per-pipeline "ir.pipeline.*" spans.
   obs::Tracer* tracer = nullptr;
-  /// Admission hook run by RunPipeline before compiling: a non-OK return
+  /// Admission hook run by RunPipeline before lowering: a non-OK return
   /// (typically kBudgetExceeded from analysis::MakeBudgetPreflight) refuses
   /// the query without executing anything.
   std::function<Status(const Expr&, const Database&)> preflight;
   /// Per-query ResourceGovernor (deadline / memory cap / cancellation).
   /// RunPipeline installs it as the ambient governor for the run, so the
-  /// operators' per-row checkpoints and the kernels below enforce it.
+  /// IR's per-batch checkpoints and the kernels below enforce it.
   /// Borrowed; nullptr (the default) runs ungoverned.
   ResourceGovernor* governor = nullptr;
-  /// Engine selection (see Engine).
-  Engine engine = Engine::kAuto;
-  /// When non-null, receives which engine ran (and whether the IR engine
-  /// fell back). Borrowed.
-  ExecReport* report = nullptr;
 };
 
-/// Builds the physical pipeline for `expr` against `db`. Input bags are
-/// bound (copied by shared reference) at compile time.
-Result<OperatorPtr> CompilePipeline(const Expr& expr, const Database& db,
-                                    const ExecOptions& options = {});
-
-/// Convenience: run to a canonical bag on the engine selected by
-/// `options.engine`. Defined in src/ir/run.cc (libbagalg_ir) — engine
-/// dispatch must reach both this module and the IR engine, and the IR
-/// library already links back to bagalg_exec for the Volcano bridge.
-/// Callers of RunPipeline link bagalg_ir.
+/// Preflight, lower to IR, execute: runs `expr` against `db` to a
+/// canonical bag, or returns the preflight's or the IR's status.
 Result<Bag> RunPipeline(const Expr& expr, const Database& db,
                         const ExecOptions& options = {});
 
-/// Compile + run on the Volcano pipeline only, ignoring `options.engine`.
-/// The kVolcano leg of RunPipeline, and the pinned engine for benchmarks
-/// that measure the tuple-at-a-time baseline.
-Result<Bag> RunVolcanoPipeline(const Expr& expr, const Database& db,
-                               const ExecOptions& options = {});
+/// The older name of RunPipeline, kept because the end-to-end benchmark
+/// (perfbench/bagbench.cc) still calls it. New code calls RunPipeline.
+inline Result<Bag> RunVolcanoPipeline(const Expr& expr, const Database& db,
+                                      const ExecOptions& options = {}) {
+  return RunPipeline(expr, db, options);
+}
 
 }  // namespace bagalg::exec
 

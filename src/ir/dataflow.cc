@@ -145,8 +145,6 @@ std::optional<std::vector<TupleField>> DecomposeTupleProgram(
   return fields;
 }
 
-IrFacts Unknown() { return IrFacts{}; }
-
 /// Facts for a scan's bound bag. Exact where the bag is small enough to
 /// inspect; conservative (unknown) beyond the caps. The data-dependent
 /// parts are cached on the bag's representation, so this is O(arity) for
@@ -433,9 +431,6 @@ Result<IrFacts> NodeBaseFacts(const IrNode& node,
       }
       facts = ScanFacts(node);
       break;
-    case IrKind::kBridge:
-      facts = Unknown();
-      break;
     case IrKind::kUnionAll: {
       if (children.size() < 2) {
         return Status::Internal("ir verify: union with fewer than two inputs");
@@ -641,7 +636,7 @@ Result<IrFacts> NodeBaseFacts(const IrNode& node,
       facts.arity = left.shape != IrFacts::Shape::kUnknown ? left.arity
                                                            : right.arity;
       switch (node.merge_kind) {
-        case exec::MergeKind::kMonus:
+        case MergeKind::kMonus:
           // Entries ⊆ left's, counts ≤ left's.
           facts.dup_free = left.dup_free;
           facts.keys = left.keys;
@@ -649,7 +644,7 @@ Result<IrFacts> NodeBaseFacts(const IrNode& node,
           facts.min_rows = 0;
           facts.max_rows = left.max_rows;
           break;
-        case exec::MergeKind::kIntersect:
+        case MergeKind::kIntersect:
           facts.dup_free = left.dup_free || right.dup_free;
           facts.keys = left.keys;
           facts.const_cols = left.const_cols;
@@ -659,7 +654,7 @@ Result<IrFacts> NodeBaseFacts(const IrNode& node,
           facts.min_rows = 0;
           facts.max_rows = MaxMin(left.max_rows, right.max_rows);
           break;
-        case exec::MergeKind::kMaxUnion:
+        case MergeKind::kMaxUnion:
           facts.dup_free = left.dup_free && right.dup_free;
           // Entries from either side may coincide on any column subset;
           // only shared constant columns survive.

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "src/core/bag_ops.h"
-#include "src/exec/compile.h"
 #include "src/obs/metrics.h"
 #include "src/util/governor.h"
 
@@ -18,7 +17,6 @@ namespace {
 
 /// Per-run executor state shared by all cursors of one ExecuteIr call.
 struct ExecContext {
-  const Database* db;
   obs::Tracer* tracer;
   size_t batch_size;
   /// CSE cache: cse_key -> materialized result of the shared subplan
@@ -457,8 +455,7 @@ class BagCursor : public BatchCursor {
 
 class MergeCursor : public BatchCursor {
  public:
-  MergeCursor(exec::MergeKind kind, CursorPtr left, CursorPtr right,
-              ExecContext* ctx)
+  MergeCursor(MergeKind kind, CursorPtr left, CursorPtr right, ExecContext* ctx)
       : kind_(kind),
         left_(std::move(left)),
         right_(std::move(right)),
@@ -469,11 +466,11 @@ class MergeCursor : public BatchCursor {
     BAGALG_ASSIGN_OR_RETURN(Bag r, DrainToBag(right_.get(), ctx_, "merge"));
     Result<Bag> merged = [&]() -> Result<Bag> {
       switch (kind_) {
-        case exec::MergeKind::kMonus:
+        case MergeKind::kMonus:
           return Subtract(l, r);
-        case exec::MergeKind::kMaxUnion:
+        case MergeKind::kMaxUnion:
           return MaxUnion(l, r);
-        case exec::MergeKind::kIntersect:
+        case MergeKind::kIntersect:
           return Intersect(l, r);
       }
       return Status::Internal("unknown merge kind");
@@ -491,7 +488,7 @@ class MergeCursor : public BatchCursor {
   }
 
  private:
-  exec::MergeKind kind_;
+  MergeKind kind_;
   CursorPtr left_;
   CursorPtr right_;
   ExecContext* ctx_;
@@ -520,48 +517,6 @@ class DupElimCursor : public BatchCursor {
   CursorPtr child_;
   ExecContext* ctx_;
   std::unique_ptr<BagCursor> out_;
-};
-
-// --------------------------------------------------------------- bridge
-
-/// Escape hatch: runs a subtree on the Volcano engine, adapting its
-/// tuple-at-a-time pulls into batches. The seam a codegen backend would
-/// also plug into.
-class BridgeCursor : public BatchCursor {
- public:
-  BridgeCursor(const IrNode& node, ExecContext* ctx)
-      : node_(node), ctx_(ctx) {}
-
-  Status Open() override {
-    exec::ExecOptions options;
-    options.tracer = ctx_->tracer;
-    BAGALG_ASSIGN_OR_RETURN(
-        op_, exec::CompilePipeline(node_.origin, *ctx_->db, options));
-    ticker_ = CheckpointTicker();
-    return op_->Open();
-  }
-
-  Result<bool> Next(RowBatch* out) override {
-    out->Clear();
-    out->Reserve(ctx_->batch_size);
-    while (out->size() < ctx_->batch_size) {
-      if (ticker_.Due()) BAGALG_RETURN_IF_ERROR(ticker_.Flush());
-      BAGALG_ASSIGN_OR_RETURN(std::optional<exec::Row> row, op_->Next());
-      if (!row.has_value()) break;
-      out->Push(std::move(row->value), std::move(row->count));
-    }
-    return !out->empty();
-  }
-
-  void Close() override {
-    if (op_ != nullptr) op_->Close();
-  }
-
- private:
-  const IrNode& node_;
-  ExecContext* ctx_;
-  exec::OperatorPtr op_;
-  CheckpointTicker ticker_;
 };
 
 // ------------------------------------------------------------------ CSE
@@ -634,8 +589,6 @@ Result<CursorPtr> MakeBase(const IrNode& node, ExecContext* ctx) {
       return CursorPtr(
           std::make_unique<DupElimCursor>(std::move(child), ctx));
     }
-    case IrKind::kBridge:
-      return CursorPtr(std::make_unique<BridgeCursor>(node, ctx));
   }
   return Status::Internal("unknown IR node kind");
 }
@@ -671,13 +624,12 @@ Result<CursorPtr> MakeCursor(const IrNode& node, ExecContext* ctx) {
 
 }  // namespace
 
-Result<Bag> ExecuteIr(const IrPlan& plan, const Database& db,
+Result<Bag> ExecuteIr(const IrPlan& plan, const Database& /*db*/,
                       const ExecIrOptions& options) {
   if (plan.root == nullptr) {
     return Status::InvalidArgument("empty IR plan");
   }
   ExecContext ctx;
-  ctx.db = &db;
   ctx.tracer = options.tracer != nullptr && options.tracer->enabled()
                    ? options.tracer
                    : nullptr;

@@ -29,7 +29,6 @@ size_t TupleArityOf(const Type& bag_type) {
 struct Lowerer {
   const Database& db;
   const std::map<const ExprNode*, Type>& types;
-  bool merges_via_bridge;
 
   Result<NodePtr> Lower(const Expr& e) {
     const ExprNode& n = e.node();
@@ -61,22 +60,12 @@ struct Lowerer {
       case ExprKind::kSubtract:
       case ExprKind::kMaxUnion:
       case ExprKind::kIntersect: {
-        if (merges_via_bridge) {
-          auto node = std::make_unique<IrNode>(IrKind::kBridge);
-          node->origin = e;
-          // Validate the subtree lowers at all before committing to the
-          // bridge: the Volcano compile at Open would fail identically,
-          // but failing here keeps errors at plan time.
-          BAGALG_RETURN_IF_ERROR(Lower(n.children[0]).status());
-          BAGALG_RETURN_IF_ERROR(Lower(n.children[1]).status());
-          return node;
-        }
         auto node = std::make_unique<IrNode>(IrKind::kMerge);
         node->merge_kind = n.kind == ExprKind::kSubtract
-                               ? exec::MergeKind::kMonus
+                               ? MergeKind::kMonus
                            : n.kind == ExprKind::kMaxUnion
-                               ? exec::MergeKind::kMaxUnion
-                               : exec::MergeKind::kIntersect;
+                               ? MergeKind::kMaxUnion
+                               : MergeKind::kIntersect;
         node->origin = e;
         BAGALG_ASSIGN_OR_RETURN(NodePtr l, Lower(n.children[0]));
         BAGALG_ASSIGN_OR_RETURN(NodePtr r, Lower(n.children[1]));
@@ -206,7 +195,7 @@ Result<IrPlan> LowerToIr(const Expr& expr, const Database& db,
       AnalyzeExpr(plan_expr, db.schema(), &node_types);
   if (!analysis.ok()) return analysis.status();
 
-  Lowerer lowerer{db, node_types, options.merges_via_bridge};
+  Lowerer lowerer{db, node_types};
   BAGALG_ASSIGN_OR_RETURN(NodePtr root, lowerer.Lower(plan_expr));
 
   IrPlan plan;

@@ -11,9 +11,9 @@
 /// / σ into fused stages on the producing node, then runs the IR passes
 /// (passes.h) and annotates nodes with static_cost bounds.
 ///
-/// The supported fragment is exactly exec::CompilePipeline's BALG¹ fragment;
-/// anything outside lowers to kUnsupported, and engine dispatch (run.cc)
-/// falls back to the Volcano pipeline or the tree-walking evaluator.
+/// The supported fragment is the paper's tractable BALG¹ (§4); anything
+/// outside lowers to kUnsupported, which exec::RunPipeline returns as is.
+/// Such plans run on the tree-walking evaluator (`eval`).
 
 #include <string>
 
@@ -34,10 +34,6 @@ struct LowerOptions {
   /// est_rows). Lowering never fails on analysis errors — annotations are
   /// best-effort.
   bool annotate_costs = true;
-  /// Lower monus/max-union/intersect through the Volcano bridge instead of
-  /// the native kMerge node. Exercises the batch-at-a-time Operator bridge;
-  /// also the template for any future operator the IR cannot host natively.
-  bool merges_via_bridge = false;
   /// Rows per batch for the produced plan.
   size_t batch_size = kDefaultBatchSize;
   /// Per-pass plan verification (verify.h): kAuto follows IrVerifyEnabled()

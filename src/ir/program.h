@@ -5,8 +5,7 @@
 /// Compiled row programs: the IR engine's replacement for per-row AST
 /// walking.
 ///
-/// The Volcano engine evaluates every MAP image and σ side by recursively
-/// walking the lambda's Expr tree for every row (exec::EvalRowLambda). The
+/// Instead of recursively walking the lambda's Expr tree for every row, the
 /// IR engine compiles each object-level lambda body once, into a flat
 /// postorder instruction sequence executed by a tiny stack machine — no
 /// recursion, no per-node switch re-dispatch through shared_ptr
@@ -19,10 +18,9 @@
 ///   field-ref     λx. α_i(x)                 (join keys, filter sides)
 ///   gather        λx. τ(α_a1(x), ..., α_ak(x))   (projections)
 ///
-/// The supported fragment is exactly the pipeline lambda fragment of
-/// exec::CheckLambdaBody: Var(0) / constants / tupling / attribute
-/// projection. Anything else fails to compile with kUnsupported, and the
-/// caller falls back to the tree-walking engines.
+/// The supported fragment is the BALG¹ lambda fragment: Var(0) / constants /
+/// tupling / attribute projection. Anything else fails to compile with
+/// kUnsupported; such lambdas run on the tree-walking evaluator.
 
 #include <cstdint>
 #include <optional>

@@ -10,10 +10,9 @@
 ///   schema NAME : TYPE        declare an input's bag type
 ///   eval EXPR                 evaluate and print the resulting object
 ///   count EXPR                evaluate and print the total cardinality
-///   exec EXPR                 evaluate via the execution engines (fused IR
-///                             by default, Volcano fallback; selection via
-///                             BAGALG_EXEC_ENGINE) instead of the tree
-///                             walker
+///   exec EXPR                 evaluate on the fused IR engine instead of
+///                             the tree walker; plans outside BALG^1 fail
+///                             with the IR's Unsupported/TypeError status
 ///   type EXPR                 print the static type
 ///   analyze EXPR              print fragment info (nesting, power nesting)
 ///   explain EXPR              print the typed operator tree (EXPLAIN)

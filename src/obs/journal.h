@@ -32,9 +32,8 @@ struct JournalEntry {
   /// Statement verb: "eval", "count", or "exec".
   std::string kind;
   /// Execution engine that produced the result: "eval" for the
-  /// tree-walking evaluator, "volcano" / "ir" for exec statements (what
-  /// exec::ExecReport said actually ran, not what was requested). Empty in
-  /// entries predating engine selection.
+  /// tree-walking evaluator, "ir" for exec statements. Empty in entries
+  /// predating engine selection.
   std::string engine;
   /// FNV-1a 64-bit hash of the statement text — a stable identity for
   /// aggregating repeated statements across sessions without shipping the

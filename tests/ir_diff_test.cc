@@ -1,7 +1,7 @@
 // Differential corpus for the two execution engines: every query family
-// the exec/eval tests exercise runs through the tree-walking evaluator,
-// the Volcano pipeline, and the strict IR engine, and the three must
-// produce bit-identical canonical bags — at 1, 2, and 8 pool threads, and
+// the exec/eval tests exercise runs through the tree-walking evaluator and
+// the fused IR engine (exec::RunPipeline), and the two must produce
+// bit-identical canonical bags — at 1, 2, and 8 pool threads, and
 // including the abort paths (governor deadline/memcap trips and injected
 // checkpoint/alloc faults), where the engines must agree on the *typed
 // error* and unwind cleanly enough to rerun identically afterwards.
@@ -27,7 +27,6 @@ namespace bagalg {
 namespace {
 
 using exec::RunPipeline;
-using exec::RunVolcanoPipeline;
 
 Value A(const char* name) { return MakeAtom(name); }
 
@@ -48,8 +47,8 @@ Bag Pairs(size_t n) {
   Bag::Builder builder;
   builder.Reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    builder.AddOne(MakeTuple({MakeAtom("k" + std::to_string(i)),
-                              MakeAtom("v" + std::to_string(i % 5))}));
+    builder.AddOne(MakeTuple({MakeAtom('k' + std::to_string(i)),
+                              MakeAtom('v' + std::to_string(i % 5))}));
   }
   auto bag = std::move(builder).Build();
   EXPECT_TRUE(bag.ok());
@@ -99,19 +98,14 @@ std::vector<Expr> Corpus() {
   };
 }
 
-/// Evaluator vs Volcano vs strict IR on one query; all three must agree
-/// bit for bit (canonical Bag equality is structural).
+/// Evaluator vs IR on one query; the two must agree bit for bit
+/// (canonical Bag equality is structural).
 void ExpectEnginesAgree(const Expr& q, const Database& db) {
   Evaluator eval;
   auto reference = eval.EvalToBag(q, db);
   ASSERT_TRUE(reference.ok()) << q.ToString() << "\n" << reference.status();
-  auto volcano = RunVolcanoPipeline(q, db);
-  ASSERT_TRUE(volcano.ok()) << q.ToString() << "\n" << volcano.status();
-  exec::ExecOptions strict;
-  strict.engine = exec::Engine::kIr;
-  auto fused = RunPipeline(q, db, strict);
+  auto fused = RunPipeline(q, db);
   ASSERT_TRUE(fused.ok()) << q.ToString() << "\n" << fused.status();
-  EXPECT_EQ(*volcano, *reference) << q.ToString();
   EXPECT_EQ(*fused, *reference) << q.ToString();
 }
 
@@ -131,9 +125,8 @@ TEST(IrDiffTest, CorpusAgreesAcrossEnginesAndThreadCounts) {
 
 class IrDiffFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
-/// The exec_test fuzz harness re-pointed at the strict IR engine: every
-/// generated BALG¹ query must lower (no fallback) and agree with the
-/// evaluator exactly.
+/// Every generated BALG¹ query must lower and agree with the evaluator
+/// exactly.
 TEST_P(IrDiffFuzzTest, StrictIrAgreesWithEvaluatorOnBalg1) {
   Rng rng(GetParam());
   Type tup1 = Type::Tuple({Type::Atom()});
@@ -158,9 +151,7 @@ TEST_P(IrDiffFuzzTest, StrictIrAgreesWithEvaluatorOnBalg1) {
     ASSERT_TRUE(db.Put("S", RandomFlatBag(rng, spec2)).ok());
     auto reference = eval.EvalToBag(*e, db);
     ASSERT_TRUE(reference.ok()) << e->ToString();
-    exec::ExecOptions strict;
-    strict.engine = exec::Engine::kIr;
-    auto fused = RunPipeline(*e, db, strict);
+    auto fused = RunPipeline(*e, db);
     ASSERT_TRUE(fused.ok()) << e->ToString() << "\n" << fused.status();
     ++lowered;
     EXPECT_EQ(*fused, *reference) << e->ToString();
@@ -173,22 +164,40 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IrDiffFuzzTest,
 
 // ---------------------------------------------------------- abort paths
 
+/// The two engines of the differential tests: the tree-walking evaluator
+/// and exec::RunPipeline (the IR).
+enum class Engine { kEvaluator, kIr };
+
+const char* EngineName(Engine engine) {
+  return engine == Engine::kEvaluator ? "evaluator" : "ir";
+}
+
+/// Runs `q` on `engine` under `governor` (nullptr: ungoverned).
+Result<Bag> RunOn(Engine engine, const Expr& q, const Database& db,
+                  ResourceGovernor* governor) {
+  if (engine == Engine::kEvaluator) {
+    Evaluator eval;
+    eval.set_governor(governor);
+    return eval.EvalToBag(q, db);
+  }
+  exec::ExecOptions options;
+  options.governor = governor;
+  return RunPipeline(q, db, options);
+}
+
 /// Both engines must turn an already-expired deadline into the same typed
 /// error, and leave the governor's trip kind telling the same story.
 TEST(IrDiffAbortTest, DeadlineTripsWithTheSameCodeOnBothEngines) {
   Database db = CorpusDb();
   Expr q = Map(Tup({Proj(Var(0), 2), Proj(Var(0), 1)}), Input("R"));
-  for (exec::Engine engine : {exec::Engine::kVolcano, exec::Engine::kIr}) {
+  for (Engine engine : {Engine::kEvaluator, Engine::kIr}) {
     GovernorOptions gopts;
     gopts.wall_limit_ns = 1;
     ResourceGovernor gov{gopts};
-    exec::ExecOptions options;
-    options.engine = engine;
-    options.governor = &gov;
-    auto out = RunPipeline(q, db, options);
-    ASSERT_FALSE(out.ok()) << exec::EngineName(engine);
+    auto out = RunOn(engine, q, db, &gov);
+    ASSERT_FALSE(out.ok()) << EngineName(engine);
     EXPECT_EQ(out.status().code(), StatusCode::kDeadlineExceeded)
-        << exec::EngineName(engine) << ": " << out.status();
+        << EngineName(engine) << ": " << out.status();
     EXPECT_EQ(gov.trip_kind(), TripKind::kDeadline);
   }
 }
@@ -197,28 +206,24 @@ TEST(IrDiffAbortTest, MemcapTripsWithTheSameCodeOnBothEngines) {
   Database db = CorpusDb();
   // The cross product materializes far beyond a 4 KiB accounting cap.
   Expr q = Product(Input("R"), Input("R2"));
-  for (exec::Engine engine : {exec::Engine::kVolcano, exec::Engine::kIr}) {
+  for (Engine engine : {Engine::kEvaluator, Engine::kIr}) {
     GovernorOptions gopts;
     gopts.memory_limit_bytes = 4096;
     ResourceGovernor gov{gopts};
-    exec::ExecOptions options;
-    options.engine = engine;
-    options.governor = &gov;
-    auto out = RunPipeline(q, db, options);
-    ASSERT_FALSE(out.ok()) << exec::EngineName(engine);
+    auto out = RunOn(engine, q, db, &gov);
+    ASSERT_FALSE(out.ok()) << EngineName(engine);
     EXPECT_EQ(out.status().code(), StatusCode::kResourceExhausted)
-        << exec::EngineName(engine) << ": " << out.status();
+        << EngineName(engine) << ": " << out.status();
     EXPECT_EQ(gov.trip_kind(), TripKind::kMemcap);
   }
 }
 
 /// The BAGALG_FAULT sweep of governor_test.cc, per engine: a one-shot
-/// checkpoint fault armed at event N either lets the query finish or
-/// aborts it with the typed injection error; after disarming, the same
-/// query must rerun to the exact reference result. Sweeping N visits abort
-/// sites at different pipeline depths (scan, staged loops, join
-/// build/probe, merge kernels).
-void RunEngineFaultSweep(exec::Engine engine, fault::FaultPoint point,
+/// fault armed at event N either lets the query finish or aborts it with
+/// the typed injection error; after disarming, the same query must rerun to
+/// the exact reference result. Sweeping N visits abort sites at different
+/// pipeline depths (scan, staged loops, join build/probe, merge kernels).
+void RunEngineFaultSweep(Engine engine, fault::FaultPoint point,
                          StatusCode expected_code) {
   FaultDisarmer disarm;
   PoolRestorer restore;
@@ -244,13 +249,10 @@ void RunEngineFaultSweep(exec::Engine engine, fault::FaultPoint point,
       fault::Configure(spec);
       {
         ResourceGovernor gov{GovernorOptions{}};
-        exec::ExecOptions options;
-        options.engine = engine;
-        options.governor = &gov;
-        auto out = RunPipeline(q, db, options);
+        auto out = RunOn(engine, q, db, &gov);
         if (!out.ok()) {
           EXPECT_EQ(out.status().code(), expected_code)
-              << "engine=" << exec::EngineName(engine) << " after=" << after
+              << "engine=" << EngineName(engine) << " after=" << after
               << " q=" << q.ToString() << ": " << out.status();
           EXPECT_NE(out.status().message().find("fault injection"),
                     std::string::npos)
@@ -262,35 +264,32 @@ void RunEngineFaultSweep(exec::Engine engine, fault::FaultPoint point,
       // Clean unwind: disarmed, the identical query must succeed exactly.
       fault::Disarm();
       ResourceGovernor gov{GovernorOptions{}};
-      exec::ExecOptions options;
-      options.engine = engine;
-      options.governor = &gov;
-      auto again = RunPipeline(q, db, options);
+      auto again = RunOn(engine, q, db, &gov);
       ASSERT_TRUE(again.ok())
-          << "engine=" << exec::EngineName(engine) << " after=" << after
-          << ": " << again.status();
+          << "engine=" << EngineName(engine) << " after=" << after << ": "
+          << again.status();
       EXPECT_EQ(*again, *reference) << q.ToString();
     }
   }
 }
 
-TEST(IrDiffAbortTest, CheckpointFaultSweepVolcano) {
-  RunEngineFaultSweep(exec::Engine::kVolcano, fault::FaultPoint::kCheckpoint,
+TEST(IrDiffAbortTest, CheckpointFaultSweepEvaluator) {
+  RunEngineFaultSweep(Engine::kEvaluator, fault::FaultPoint::kCheckpoint,
                       StatusCode::kCancelled);
 }
 
 TEST(IrDiffAbortTest, CheckpointFaultSweepIr) {
-  RunEngineFaultSweep(exec::Engine::kIr, fault::FaultPoint::kCheckpoint,
+  RunEngineFaultSweep(Engine::kIr, fault::FaultPoint::kCheckpoint,
                       StatusCode::kCancelled);
 }
 
-TEST(IrDiffAbortTest, AllocFaultSweepVolcano) {
-  RunEngineFaultSweep(exec::Engine::kVolcano, fault::FaultPoint::kAlloc,
+TEST(IrDiffAbortTest, AllocFaultSweepEvaluator) {
+  RunEngineFaultSweep(Engine::kEvaluator, fault::FaultPoint::kAlloc,
                       StatusCode::kResourceExhausted);
 }
 
 TEST(IrDiffAbortTest, AllocFaultSweepIr) {
-  RunEngineFaultSweep(exec::Engine::kIr, fault::FaultPoint::kAlloc,
+  RunEngineFaultSweep(Engine::kIr, fault::FaultPoint::kAlloc,
                       StatusCode::kResourceExhausted);
 }
 

@@ -1,6 +1,6 @@
 // Tests for the fused loop IR: compiled row programs, lowering and the IR
 // passes (hash-join promotion, pushdowns, CSE), the vectorized batch
-// interpreter, engine dispatch/reporting, and — the governor-parity
+// interpreter, exec::RunPipeline dispatch, and — the governor-parity
 // property promised in util/governor.h — byte-for-byte agreement between
 // per-row and per-batch checkpoint ticking.
 
@@ -8,7 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -22,7 +21,11 @@
 #include "src/ir/ir.h"
 #include "src/ir/program.h"
 #include "src/lang/script.h"
+#include "src/obs/metrics.h"
+#include "src/stats/expr_gen.h"
+#include "src/stats/sampler.h"
 #include "src/util/governor.h"
+#include "src/util/rng.h"
 
 namespace bagalg {
 namespace {
@@ -318,35 +321,6 @@ TEST(ExecIrTest, BatchBoundarySizesRoundTrip) {
   }
 }
 
-TEST(ExecIrTest, MergeKindsNativeAndViaBridgeAgree) {
-  Bag x = MakeBag({{MakeTuple({A("x")}), 5}, {MakeTuple({A("y")}), 1}});
-  Bag y = MakeBag({{MakeTuple({A("x")}), 2}, {MakeTuple({A("z")}), 7}});
-  Database db = Db({{"X", x}, {"Y", y}});
-  Evaluator eval;
-  const Expr queries[] = {Monus(Input("X"), Input("Y")),
-                          Umax(Input("X"), Input("Y")),
-                          Inter(Input("X"), Input("Y"))};
-  for (const Expr& q : queries) {
-    auto reference = eval.EvalToBag(q, db);
-    ASSERT_TRUE(reference.ok());
-    auto native = LowerToIr(q, db);
-    ASSERT_TRUE(native.ok()) << native.status();
-    EXPECT_EQ(native->root->kind, IrKind::kMerge);
-    auto native_out = ExecuteIr(*native, db);
-    ASSERT_TRUE(native_out.ok()) << native_out.status();
-    EXPECT_EQ(*native_out, *reference) << q.ToString();
-
-    LowerOptions bridged;
-    bridged.merges_via_bridge = true;
-    auto bridge = LowerToIr(q, db, bridged);
-    ASSERT_TRUE(bridge.ok()) << bridge.status();
-    EXPECT_EQ(bridge->root->kind, IrKind::kBridge);
-    auto bridge_out = ExecuteIr(*bridge, db);
-    ASSERT_TRUE(bridge_out.ok()) << bridge_out.status();
-    EXPECT_EQ(*bridge_out, *reference) << q.ToString();
-  }
-}
-
 TEST(ExecIrTest, CseSharingPreservesSemantics) {
   Bag x = MakeBag({{MakeTuple({A("x")}), 5}, {MakeTuple({A("y")}), 1}});
   Database db = Db({{"X", x}});
@@ -365,94 +339,164 @@ TEST(ExecIrTest, CseSharingPreservesSemantics) {
 }
 
 // ------------------------------------------------------- engine dispatch
+//
+// exec::RunPipeline: preflight, lower to IR, execute. The ExecTest cases
+// pin the dispatcher's results against the paper's semantics; the fuzz
+// pins them against the evaluator on generated BALG¹ queries.
 
-TEST(EngineTest, StrictIrRefusesUnsupportedPlans) {
+TEST(EngineTest, RunPipelineReturnsThePlanTimeStatusUnchanged) {
+  // Plans the IR refuses at lowering time fail with the IR's own status;
+  // nothing runs them on another engine.
   Database db = Db({{"S", MakeBagOf({MakeTuple({A("x")})})}});
-  exec::ExecOptions options;
-  options.engine = exec::Engine::kIr;
-  auto out = exec::RunPipeline(Pow(Input("S")), db, options);
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kUnsupported);
+  ASSERT_TRUE(db.Declare("E", Type::Bag(Type::Tuple({Type::Atom()}))).ok());
+  EXPECT_EQ(exec::RunPipeline(Pow(Input("S")), db).status().code(),
+            StatusCode::kUnsupported);
+  // Ill-typed even over an empty input: no rows are needed to refuse it.
+  EXPECT_EQ(
+      exec::RunPipeline(Map(Proj(Var(0), 9), Input("E")), db).status().code(),
+      StatusCode::kTypeError);
+  EXPECT_EQ(exec::RunPipeline(Input("ZZZ"), db).status().code(),
+            StatusCode::kNotFound);
 }
 
 TEST(EngineTest, AutoPrefersTheIrEngine) {
+  // Default options run the IR; every dispatched run counts in
+  // exec.engine.ir.
   Database db = Db({{"S", MakeBagOf({MakeTuple({A("x")})})}});
-  exec::ExecReport report;
-  exec::ExecOptions options;
-  options.engine = exec::Engine::kAuto;
-  options.report = &report;
-  auto out = exec::RunPipeline(Eps(Input("S")), db, options);
+  obs::Counter* ir_runs = obs::GlobalMetrics().GetCounter("exec.engine.ir");
+  const uint64_t before = ir_runs->value();
+  auto out = exec::RunPipeline(Eps(Input("S")), db);
   ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(report.engine_used, exec::Engine::kIr);
-  EXPECT_FALSE(report.fell_back);
+  EXPECT_EQ(ir_runs->value(), before + 1);
 }
 
-TEST(EngineTest, AutoFallsBackToVolcanoOnPlansTheIrCannotLower) {
-  // P is outside both engines' fragments, but under kAuto the dispatcher
-  // records the attempted fallback: the IR refuses at lowering time, the
-  // Volcano leg runs (and refuses too — the final status is its verdict).
+TEST(EngineTest, StrictIrRefusesUnsupportedPlans) {
   Database db = Db({{"S", MakeBagOf({MakeTuple({A("x")})})}});
-  exec::ExecReport report;
-  exec::ExecOptions options;
-  options.engine = exec::Engine::kAuto;
-  options.report = &report;
-  auto out = exec::RunPipeline(Pow(Input("S")), db, options);
+  auto out = exec::RunPipeline(Pow(Input("S")), db);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kUnsupported);
-  EXPECT_EQ(report.engine_used, exec::Engine::kVolcano);
-  EXPECT_TRUE(report.fell_back);
-}
-
-TEST(EngineTest, VolcanoPinRunsTheOldEngine) {
-  Database db = Db({{"S", MakeBagOf({MakeTuple({A("x")})})}});
-  exec::ExecReport report;
-  exec::ExecOptions options;
-  options.engine = exec::Engine::kVolcano;
-  options.report = &report;
-  auto out = exec::RunPipeline(Eps(Input("S")), db, options);
-  ASSERT_TRUE(out.ok()) << out.status();
-  EXPECT_EQ(report.engine_used, exec::Engine::kVolcano);
-  EXPECT_FALSE(report.fell_back);
-}
-
-TEST(EngineTest, StrictIrAndPinnedVolcanoAgreeOnResults) {
-  Bag b = MakeBag({{MakeTuple({A("a"), A("b")}), 4},
-                   {MakeTuple({A("b"), A("a")}), 3}});
-  Database db = Db({{"B", b}});
-  auto volcano = exec::RunVolcanoPipeline(JoinChain("B"), db);
-  ASSERT_TRUE(volcano.ok()) << volcano.status();
-  exec::ExecOptions strict;
-  strict.engine = exec::Engine::kIr;
-  auto fused = exec::RunPipeline(JoinChain("B"), db, strict);
-  ASSERT_TRUE(fused.ok()) << fused.status();
-  EXPECT_EQ(*fused, *volcano);
 }
 
 TEST(EngineTest, StrictIrCatchesIllTypedLambdasAtPlanTime) {
   // The IR engine typechecks before lowering, so an out-of-range
-  // projection is a plan-time kTypeError rather than a mid-run abort —
-  // and being a plan-time error it never silently falls back under kIr.
+  // projection is a plan-time kTypeError rather than a mid-run abort.
   Bag b = MakeBag({{MakeTuple({A("a"), A("b")}), 1}});
   Database db = Db({{"B", b}});
-  exec::ExecOptions strict;
-  strict.engine = exec::Engine::kIr;
-  auto out = exec::RunPipeline(Map(Proj(Var(0), 9), Input("B")), db, strict);
+  auto out = exec::RunPipeline(Map(Proj(Var(0), 9), Input("B")), db);
   ASSERT_FALSE(out.ok());
   EXPECT_EQ(out.status().code(), StatusCode::kTypeError);
 }
 
-TEST(EngineTest, EngineFromEnvParsesTheKnownNames) {
-  ASSERT_EQ(setenv("BAGALG_EXEC_ENGINE", "ir", 1), 0);
-  EXPECT_EQ(exec::EngineFromEnv(), exec::Engine::kIr);
-  ASSERT_EQ(setenv("BAGALG_EXEC_ENGINE", "interp", 1), 0);
-  EXPECT_EQ(exec::EngineFromEnv(), exec::Engine::kVolcano);
-  ASSERT_EQ(setenv("BAGALG_EXEC_ENGINE", "volcano", 1), 0);
-  EXPECT_EQ(exec::EngineFromEnv(), exec::Engine::kVolcano);
-  ASSERT_EQ(setenv("BAGALG_EXEC_ENGINE", "sorcery", 1), 0);
-  EXPECT_EQ(exec::EngineFromEnv(), exec::Engine::kAuto);
-  ASSERT_EQ(unsetenv("BAGALG_EXEC_ENGINE"), 0);
-  EXPECT_EQ(exec::EngineFromEnv(), exec::Engine::kAuto);
+TEST(ExecTest, JoinPipelineMatchesSection4Table) {
+  const uint64_t n = 4, m = 3;
+  Bag b = MakeBag({{MakeTuple({A("a"), A("b")}), n},
+                   {MakeTuple({A("b"), A("a")}), m}});
+  Database db = Db({{"B", b}});
+  Expr q = ProjectAttrs(Select(Proj(Var(0), 2), Proj(Var(0), 3),
+                               Product(Input("B"), Input("B"))),
+                        {1, 4});
+  auto out = exec::RunPipeline(q, db);
+  ASSERT_TRUE(out.ok()) << out.status();
+  EXPECT_EQ(out->CountOf(MakeTuple({A("a"), A("a")})), Mult(n * m));
+  EXPECT_EQ(out->CountOf(MakeTuple({A("b"), A("b")})), Mult(n * m));
 }
+
+TEST(ExecTest, MergeOperatorsMatchSemantics) {
+  Bag x = MakeBag({{MakeTuple({A("x")}), 5}, {MakeTuple({A("y")}), 1}});
+  Bag y = MakeBag({{MakeTuple({A("x")}), 2}, {MakeTuple({A("z")}), 7}});
+  Database db = Db({{"X", x}, {"Y", y}});
+  auto monus = exec::RunPipeline(Monus(Input("X"), Input("Y")), db);
+  ASSERT_TRUE(monus.ok());
+  EXPECT_EQ(monus->CountOf(MakeTuple({A("x")})), Mult(3));
+  auto um = exec::RunPipeline(Umax(Input("X"), Input("Y")), db);
+  ASSERT_TRUE(um.ok());
+  EXPECT_EQ(um->CountOf(MakeTuple({A("z")})), Mult(7));
+  auto in = exec::RunPipeline(Inter(Input("X"), Input("Y")), db);
+  ASSERT_TRUE(in.ok());
+  EXPECT_EQ(in->TotalCount(), Mult(2));
+  auto up = exec::RunPipeline(Uplus(Input("X"), Input("Y")), db);
+  ASSERT_TRUE(up.ok());
+  EXPECT_EQ(up->CountOf(MakeTuple({A("x")})), Mult(7));
+  auto de = exec::RunPipeline(Eps(Input("X")), db);
+  ASSERT_TRUE(de.ok());
+  EXPECT_TRUE(de->IsSetLike());
+}
+
+TEST(ExecTest, MapMergesEqualImagesThroughSink) {
+  // MAP collapsing everything to [k]: the stream emits two rows for [k];
+  // the sink must merge to multiplicity 6 (additive MAP semantics).
+  Bag b = MakeBag({{MakeTuple({A("x")}), 5}, {MakeTuple({A("y")}), 1}});
+  Database db = Db({{"B", b}});
+  auto out = exec::RunPipeline(Map(Tup({ConstExpr(A("k"))}), Input("B")), db);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out->CountOf(MakeTuple({A("k")})), Mult(6));
+}
+
+TEST(ExecTest, RejectsOperatorsOutsideFragment) {
+  Database db = Db({{"B", MakeBagOf({MakeTuple({A("x")})})},
+                    {"P", MakeBagOf({MakeTuple({A("x"), A("y")})})}});
+  EXPECT_EQ(exec::RunPipeline(Pow(Input("B")), db).status().code(),
+            StatusCode::kUnsupported);
+  EXPECT_EQ(exec::RunPipeline(Destroy(Pow(Input("B"))), db).status().code(),
+            StatusCode::kUnsupported);
+  // Transitive closure is a fixpoint (over the 1-ary B it would be a
+  // plan-time type error instead).
+  EXPECT_EQ(
+      exec::RunPipeline(TransitiveClosure(Input("P")), db).status().code(),
+      StatusCode::kUnsupported);
+  // Bag-building lambda bodies are out too.
+  EXPECT_EQ(
+      exec::RunPipeline(Map(Beta(Var(0)), Input("B")), db).status().code(),
+      StatusCode::kUnsupported);
+  EXPECT_EQ(exec::RunPipeline(Input("ZZZ"), db).status().code(),
+            StatusCode::kNotFound);
+}
+
+TEST(ExecTest, EmptyInputsFlowThrough) {
+  Database db;
+  ASSERT_TRUE(db.Declare("E", Type::Bag(Type::Tuple({Type::Atom()}))).ok());
+  auto out = exec::RunPipeline(
+      Product(Input("E"), Uplus(Input("E"), Input("E"))), db);
+  ASSERT_TRUE(out.ok());
+  EXPECT_TRUE(out->empty());
+}
+
+class ExecFuzzTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(ExecFuzzTest, PipelineAgreesWithEvaluatorOnBalg1) {
+  Rng rng(GetParam());
+  Type tup1 = Type::Tuple({Type::Atom()});
+  Type tup2 = Type::Tuple({Type::Atom(), Type::Atom()});
+  Schema schema{{"R", Type::Bag(tup1)}, {"S", Type::Bag(tup2)}};
+  ExprGenOptions options;
+  options.max_bag_nesting = 1;  // the BALG¹ fragment
+  options.allow_powerset = false;
+  options.growth_rounds = 14;
+  Evaluator eval;
+  int compiled = 0;
+  for (int i = 0; i < 80; ++i) {
+    auto e = RandomExpr(rng, schema, options);
+    ASSERT_TRUE(e.ok());
+    FlatBagSpec spec1;
+    spec1.arity = 1;
+    spec1.num_elements = 4;
+    FlatBagSpec spec2 = spec1;
+    spec2.arity = 2;
+    Database db;
+    ASSERT_TRUE(db.Put("R", RandomFlatBag(rng, spec1)).ok());
+    ASSERT_TRUE(db.Put("S", RandomFlatBag(rng, spec2)).ok());
+    auto reference = eval.EvalToBag(*e, db);
+    ASSERT_TRUE(reference.ok()) << e->ToString();
+    auto pipeline = exec::RunPipeline(*e, db);
+    ASSERT_TRUE(pipeline.ok()) << e->ToString() << "\n" << pipeline.status();
+    ++compiled;
+    EXPECT_EQ(*pipeline, *reference) << e->ToString();
+  }
+  EXPECT_EQ(compiled, 80);  // the whole generated fragment must run
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ExecFuzzTest,
+                         ::testing::Values(71, 72, 73, 74));
 
 // ------------------------------------------------------- REPL and lint
 

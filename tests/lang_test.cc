@@ -229,6 +229,22 @@ TEST(ScriptTest, OnlyResultCommandsLeaveALastResult) {
   EXPECT_FALSE(runner.last_result().has_value());
 }
 
+TEST(ScriptTest, ExecRefusesIllTypedLambdasWhetherOrNotInputsHaveRows) {
+  // exec returns the IR's plan-time TypeError. The verdict does not depend
+  // on the data: the empty E and the non-empty B are refused alike.
+  ScriptRunner runner;
+  ASSERT_TRUE(runner.RunLine("schema E : {{[U]}}").ok());
+  ASSERT_TRUE(runner.RunLine("let B = {{[a]}}").ok());
+  for (const char* statement :
+       {"exec map(p -> proj(9, p), E)", "exec map(p -> proj(9, p), B)"}) {
+    auto r = runner.RunLine(statement);
+    ASSERT_FALSE(r.ok()) << statement;
+    EXPECT_EQ(r.status().code(), StatusCode::kTypeError)
+        << statement << ": " << r.status();
+    EXPECT_FALSE(runner.last_result().has_value());
+  }
+}
+
 TEST(ScriptTest, SchemaAndTypeCommands) {
   ScriptRunner runner;
   ASSERT_TRUE(runner.RunLine("schema G : {{[U, U]}}").ok());

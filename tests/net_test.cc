@@ -333,6 +333,25 @@ TEST(ServerTest, LetRepliesCarryNoResult) {
   (*server)->Wait();
 }
 
+TEST(ServerTest, IllTypedExecOnAnEmptyInputIsA400) {
+  ServerOptions options;
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  const uint16_t port = (*server)->port();
+
+  PostStatement(port,
+                R"js({"session":"e","statement":"schema E : {{[U]}}"})js");
+  auto refused = PostStatement(
+      port,
+      R"js({"session":"e","statement":"exec map(p -> proj(9, p), E)"})js");
+  EXPECT_EQ(refused.status, 400) << refused.raw;
+  EXPECT_NE(refused.body.find("TypeError"), std::string::npos)
+      << refused.body;
+
+  (*server)->RequestShutdown();
+  (*server)->Wait();
+}
+
 TEST(ServerTest, BudgetRefusalIsTypedAndPermanent) {
   ServerOptions options;
   options.cost_budget = 1000;  // pow({{..16 atoms..}}) estimates 2^16 >> 1000

@@ -439,32 +439,33 @@ TEST(ExplainAnalyzeTest, PropagatesEvalErrors) {
 
 // ------------------------------------------------------ exec integration
 
-TEST(ExecTracingTest, OperatorLifecyclesBecomeSpans) {
+TEST(ExecTracingTest, PipelineDrainsBecomeSpans) {
   obs::Tracer tracer;
   Database db = JoinDb();
   exec::ExecOptions options;
   options.tracer = &tracer;
-  // This test is about the Volcano operator tracing decorator; the IR
-  // engine's spans are covered in ir_test.cc.
-  options.engine = exec::Engine::kVolcano;
   auto r = exec::RunPipeline(JoinQuery(), db, options);
   ASSERT_TRUE(r.ok()) << r.status();
-  bool saw_scan = false, saw_product = false, saw_pipeline = false;
-  uint64_t scan_rows = 0;
-  for (const auto& e : tracer.SnapshotEvents()) {
-    if (e.name == "exec.scan") {
-      saw_scan = true;
-      for (const auto& [k, v] : e.attrs) {
-        if (k == "rows") scan_rows = std::get<uint64_t>(v);
-      }
+  ASSERT_EQ(r->DistinctCount(), 1u);  // {{[a, c]*2}}
+  auto rows_of = [](const obs::TraceEvent& e) {
+    for (const auto& [k, v] : e.attrs) {
+      if (k == "rows") return std::get<uint64_t>(v);
     }
-    if (e.name == "exec.nested-loop-product") saw_product = true;
-    if (e.name == "exec.pipeline") saw_pipeline = true;
+    return uint64_t{0};
+  };
+  bool saw_pipeline = false, saw_root = false;
+  for (const auto& e : tracer.SnapshotEvents()) {
+    if (e.name == "exec.pipeline") {
+      saw_pipeline = true;
+      EXPECT_EQ(rows_of(e), 1u);
+    }
+    if (e.name == "ir.pipeline.root") {
+      saw_root = true;
+      EXPECT_EQ(rows_of(e), 1u);
+    }
   }
-  EXPECT_TRUE(saw_scan);
-  EXPECT_TRUE(saw_product);
   EXPECT_TRUE(saw_pipeline);
-  EXPECT_EQ(scan_rows, 2u);  // R has two distinct rows
+  EXPECT_TRUE(saw_root);
 }
 
 TEST(ExecTracingTest, DisabledTracerAddsNoWrappers) {
