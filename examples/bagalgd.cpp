@@ -13,12 +13,13 @@
 //   --queue=N              admission queue bound (default 64)
 //   --max-connections=N    connection cap        (default 4096)
 //   --max-sessions=N       session cap           (default 128)
-//   --stream-threshold=N   chunk-stream result bags with >= N entries
-//                          (default 512, 0 = never stream)
 //   --timeout-ms=N         per-statement wall deadline ceiling (0 = off)
 //   --memlimit-bytes=N     per-statement memory cap ceiling    (0 = off)
 //   --budget=N             cost-budget admission ceiling       (0 = off)
 //   --journal-dir=DIR      flush session journals here on close/drain
+//
+// JSON replies that fit in one 64 KiB slice go out with Content-Length;
+// longer ones are streamed with chunked transfer-encoding.
 //
 // SIGTERM and SIGINT begin a graceful drain: stop accepting, shed the
 // queue as 503, cancel in-flight statements, flush journals, exit 0.
@@ -85,8 +86,6 @@ int main(int argc, char** argv) {
       options.default_memlimit_bytes = n;
     } else if (flag == "--budget" && ParseUint(value, &n)) {
       options.cost_budget = n;
-    } else if (flag == "--stream-threshold" && ParseUint(value, &n)) {
-      options.stream_entries_threshold = static_cast<size_t>(n);
     } else if (flag == "--journal-dir") {
       options.journal_dir = value;
     } else {

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "src/net/io.h"
 #include "src/util/status.h"
 
 namespace bagalg::net {
@@ -28,26 +27,6 @@ std::string_view Trim(std::string_view s) {
     s.remove_suffix(1);
   }
   return s;
-}
-
-/// Blocks until at least one more byte lands in `buffer`, polling
-/// `should_stop` at limits.read_poll_ms granularity. kCancelled when the
-/// peer closed (clean) or a drain began; kUnavailable on io faults.
-Status FillMore(int fd, std::string* buffer, const HttpLimits& limits,
-                const std::function<bool()>& should_stop) {
-  char chunk[4096];
-  while (true) {
-    if (should_stop && should_stop()) {
-      return Status::Cancelled("draining");
-    }
-    BAGALG_ASSIGN_OR_RETURN(int ready,
-                            PollReadable(fd, limits.read_poll_ms));
-    if (ready == 0) continue;
-    BAGALG_ASSIGN_OR_RETURN(size_t n, ReadSome(fd, chunk, sizeof(chunk)));
-    if (n == 0) return Status::Cancelled("connection closed");
-    buffer->append(chunk, n);
-    return Status::Ok();
-  }
 }
 
 Status ParseRequestHead(std::string_view head, HttpRequest* out) {
@@ -127,6 +106,7 @@ Result<bool> HttpReader::Next(HttpRequest* out) {
       // The cap applies to *this request's* header bytes — everything
       // from pos_ — never to leftovers of previously parsed requests.
       if (buffer_.size() - pos_ > limits_.max_header_bytes) {
+        error_status_ = 431;
         return Status::ResourceExhausted(
             "http: header block exceeds " +
             std::to_string(limits_.max_header_bytes) + " bytes");
@@ -135,6 +115,7 @@ Result<bool> HttpReader::Next(HttpRequest* out) {
     }
     pending_ = HttpRequest();
     if (head_end - pos_ > limits_.max_header_bytes) {
+      error_status_ = 431;
       return Status::ResourceExhausted(
           "http: header block exceeds " +
           std::to_string(limits_.max_header_bytes) + " bytes");
@@ -151,6 +132,7 @@ Result<bool> HttpReader::Next(HttpRequest* out) {
         return Status::ParseError("http: bad Content-Length");
       }
       if (v > limits_.max_body_bytes) {
+        error_status_ = 413;
         return Status::ResourceExhausted(
             "http: body of " + it->second + " bytes exceeds cap of " +
             std::to_string(limits_.max_body_bytes));
@@ -172,48 +154,6 @@ Result<bool> HttpReader::Next(HttpRequest* out) {
   scan_ = pos_;
   have_head_ = false;
   return true;
-}
-
-std::string HttpReader::TakeRemainder() {
-  std::string rest = buffer_.substr(pos_);
-  buffer_.clear();
-  pos_ = scan_ = 0;
-  have_head_ = false;
-  pending_ = HttpRequest();
-  return rest;
-}
-
-Result<HttpRequest> ReadHttpRequest(int fd, std::string* buffer,
-                                    const HttpLimits& limits,
-                                    const std::function<bool()>& should_stop) {
-  HttpReader reader(limits);
-  reader.Feed(*buffer);
-  buffer->clear();
-  while (true) {
-    HttpRequest request;
-    auto parsed = reader.Next(&request);
-    if (!parsed.ok()) {
-      *buffer = reader.TakeRemainder();
-      return parsed.status();
-    }
-    if (*parsed) {
-      *buffer = reader.TakeRemainder();
-      return request;
-    }
-    std::string more;
-    const Status st = FillMore(fd, &more, limits, should_stop);
-    if (!st.ok()) {
-      const bool mid_request = reader.mid_request();
-      *buffer = reader.TakeRemainder();
-      // Mid-request EOF/drain is a vanished peer, not a clean close: the
-      // request is torn, so surface it as a connection-level io error.
-      if (mid_request && st.code() == StatusCode::kCancelled) {
-        return Status::Unavailable("io: connection closed mid-request");
-      }
-      return st;
-    }
-    reader.Feed(more);
-  }
 }
 
 std::string FormatHttpResponseHead(const HttpResponse& response, bool chunked,
@@ -262,10 +202,6 @@ void AppendHttpChunk(std::string_view data, std::string* out) {
 }
 
 void AppendHttpLastChunk(std::string* out) { out->append("0\r\n\r\n"); }
-
-Status WriteHttpResponse(int fd, const HttpResponse& response) {
-  return WriteAll(fd, FormatHttpResponse(response));
-}
 
 const char* HttpReasonPhrase(int status) {
   switch (status) {

@@ -6,7 +6,6 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
-#include <poll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -63,46 +62,6 @@ Result<uint16_t> LocalPort(int listen_fd) {
   return ntohs(addr.sin_port);
 }
 
-Result<Fd> AcceptConnection(int listen_fd) {
-  // An injected accept fault models the kernel transiently refusing
-  // (EMFILE-shaped); both injected kinds are the same refusal here.
-  if (fault::InjectIoFault() != fault::IoFaultKind::kNone) {
-    return Status::Unavailable("io: injected accept failure");
-  }
-  while (true) {
-    const int fd = ::accept(listen_fd, nullptr, nullptr);
-    if (fd >= 0) return Fd(fd);
-    if (errno == EINTR) continue;
-    if (errno == ECONNABORTED || errno == EMFILE || errno == ENFILE ||
-        errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS ||
-        errno == ENOMEM) {
-      return Errno("accept");
-    }
-    // EBADF/EINVAL: the drain path shut the listener down under us.
-    return Status::Cancelled("io: listener closed: " +
-                             std::string(std::strerror(errno)));
-  }
-}
-
-Result<size_t> ReadSome(int fd, char* buf, size_t len) {
-  if (len == 0) return static_cast<size_t>(0);
-  switch (fault::InjectIoFault()) {
-    case fault::IoFaultKind::kShort:
-      len = 1;
-      break;
-    case fault::IoFaultKind::kError:
-      return Status::Unavailable("io: injected disconnect (recv)");
-    case fault::IoFaultKind::kNone:
-      break;
-  }
-  while (true) {
-    const ssize_t n = ::recv(fd, buf, len, 0);
-    if (n >= 0) return static_cast<size_t>(n);
-    if (errno == EINTR) continue;
-    return Errno("recv");
-  }
-}
-
 Status WriteAll(int fd, std::string_view data) {
   size_t off = 0;
   while (off < data.size()) {
@@ -124,18 +83,6 @@ Status WriteAll(int fd, std::string_view data) {
     off += static_cast<size_t>(n);
   }
   return Status::Ok();
-}
-
-Result<int> PollReadable(int fd, int timeout_ms) {
-  pollfd pfd = {};
-  pfd.fd = fd;
-  pfd.events = POLLIN;
-  while (true) {
-    const int n = ::poll(&pfd, 1, timeout_ms);
-    if (n >= 0) return n;
-    if (errno == EINTR) continue;
-    return Errno("poll");
-  }
 }
 
 Status SetNonBlocking(int fd) {

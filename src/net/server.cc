@@ -41,7 +41,8 @@ constexpr uint64_t kFirstConnId = 2;
 // Write-buffer watermarks: the streamer refills the out buffer when the
 // unwritten remainder drops below the low mark and each refill slice is
 // one stream unit — a slow reader therefore holds at most roughly
-// high-water bytes of serialized response, never the whole body.
+// high-water bytes of serialized response, never the whole body. A JSON
+// body that fits in one slice goes out with Content-Length instead.
 constexpr size_t kWriteLowWater = 64 * 1024;
 constexpr size_t kStreamSliceBytes = 64 * 1024;
 // At most this many accepts are drained per listener event, so one
@@ -171,17 +172,89 @@ bool IsBag1Request(const HttpRequest& request) {
 }
 
 /// One response owed to a connection, in request order. A slot is either
-/// ready (bytes materialized, or a chunked head plus a streamer) or still
-/// waiting on its statement's completion. Slots only leave the queue from
-/// the front, and only once ready — pipelined responses therefore always
-/// go out in the order their requests arrived, no matter how the executor
-/// lanes interleave.
+/// ready (bytes materialized, or a chunked head and first chunk plus a
+/// streamer for the rest) or still waiting on its statement's completion.
+/// Slots only leave the queue from the front, and only once ready —
+/// pipelined responses therefore always go out in the order their requests
+/// arrived, no matter how the executor lanes interleave.
 struct ResponseSlot {
   bool ready = false;
   bool close_after = false;  // connection closes once this slot is written
   std::string bytes;
   std::unique_ptr<WireJsonStreamer> stream;  // chunked body, if streamed
 };
+
+/// A ready slot holding a non-envelope response (health, metrics, trace,
+/// session close).
+ResponseSlot PlainSlot(HttpResponse resp, bool close) {
+  resp.close = close;
+  ResponseSlot slot;
+  slot.close_after = close;
+  slot.bytes = FormatHttpResponse(resp);
+  return slot;
+}
+
+/// A statement reply: the wire record both formats encode, plus what only
+/// HTTP carries (status, Retry-After) and the session name, which the JSON
+/// success envelope echoes.
+struct StatementReply {
+  int http_status = 200;
+  std::string retry_after;  // nonempty → Retry-After header
+  std::string session;
+  WireStatementResponse wire;
+};
+
+StatementReply ErrorReply(int http_status, const Status& status,
+                          std::string outcome, std::string flight = "") {
+  StatementReply reply;
+  reply.http_status = http_status;
+  reply.wire.outcome = std::move(outcome);
+  reply.wire.error_code = StatusCodeName(status.code());
+  reply.wire.error_message = status.message();
+  reply.wire.retryable = IsRetryable(status.code());
+  reply.wire.flight = std::move(flight);
+  return reply;
+}
+
+/// The JSON envelope of a reply — the one place its text is written:
+///   {"ok":true,"outcome":"ok","session":S,"output":O[,"result":R],
+///    "wall_us":N}
+///   {"ok":false,"outcome":O,"error":{"code":C,"message":M,
+///    "retryable":B}[,"flight":F]}
+std::unique_ptr<WireJsonStreamer> JsonEnvelope(const StatementReply& reply) {
+  const WireStatementResponse& wire = reply.wire;
+  std::string head;
+  std::string tail;
+  if (wire.ok) {
+    head = "{\"ok\":true,\"outcome\":\"ok\",\"session\":";
+    head += obs::JsonQuote(reply.session);
+    head += ",\"output\":";
+    head += obs::JsonQuote(wire.output);
+    if (wire.has_result) head += ",\"result\":";
+    tail = ",\"wall_us\":";
+    tail += std::to_string(wire.wall_us);
+    tail += "}";
+  } else {
+    head = "{\"ok\":false,\"outcome\":";
+    head += obs::JsonQuote(wire.outcome);
+    head += ",\"error\":{\"code\":";
+    head += obs::JsonQuote(wire.error_code);
+    head += ",\"message\":";
+    head += obs::JsonQuote(wire.error_message);
+    head += ",\"retryable\":";
+    head += wire.retryable ? "true" : "false";
+    head += "}";
+    if (!wire.flight.empty()) {
+      head += ",\"flight\":";
+      head += obs::JsonQuote(wire.flight);
+    }
+    head += "}";
+  }
+  return std::make_unique<WireJsonStreamer>(
+      std::move(head),
+      wire.has_result ? std::optional<Value>(wire.result) : std::nullopt,
+      std::move(tail));
+}
 
 /// One connection's state machine, owned exclusively by the loop thread.
 /// Parse-ahead: the loop keeps parsing pipelined requests (up to
@@ -403,13 +476,11 @@ class Server::Impl {
         // Over the cap: answer with a typed 503 and close. Best-effort —
         // the socket is fresh, so the small write virtually never blocks,
         // and a peer that cannot take it was going to be closed anyway.
-        HttpResponse resp = ErrorResponseBody(
-            503, Status::Unavailable("connection limit reached"), "shed");
-        resp.close = true;
-        resp.extra_headers.emplace_back("Retry-After", "1");
+        const ResponseSlot shed = RenderReply(
+            ShedReply(503, "connection limit reached"), /*bag1=*/false,
+            /*close=*/true);
         bool wb = false;
-        (void)WriteNonBlocking(conn->get(), FormatHttpResponse(resp), &wb);
-        shed_.fetch_add(1);
+        (void)WriteNonBlocking(conn->get(), shed.bytes, &wb);
         continue;
       }
       auto c = std::make_unique<Conn>();
@@ -495,16 +566,8 @@ class Server::Impl {
     HttpRequest request;
     auto got = c->reader.Next(&request);
     if (!got.ok()) {
-      errors_.fetch_add(1);
-      const bool header_cap =
-          got.status().message().find("header") != std::string::npos;
-      const int status =
-          got.status().code() == StatusCode::kParseError
-              ? 400
-              : (header_cap ? 431 : 413);
-      HttpResponse resp = ErrorResponseBody(status, got.status(), "error");
-      resp.close = true;
-      QueueResponse(c, resp, /*close=*/true);
+      QueueError(c, c->reader.error_status(), got.status(), /*bag1=*/false,
+                 /*close=*/true);
       return true;
     }
     if (!*got) {
@@ -544,28 +607,24 @@ class Server::Impl {
       CloseSessionRequest(c, request, want_close);
       return;
     }
-    HttpResponse resp;
     if (request.method == "GET" && request.path == "/healthz") {
-      resp = Healthz();
+      QueueReady(c, PlainSlot(Healthz(), want_close));
     } else if (request.method == "GET" && request.path == "/metrics") {
-      resp = Metrics();
+      QueueReady(c, PlainSlot(Metrics(), want_close));
     } else if (request.method == "GET" && request.path == "/trace") {
-      resp = Trace();
+      QueueReady(c, PlainSlot(Trace(), want_close));
     } else if (request.path == "/healthz" || request.path == "/metrics" ||
                request.path == "/trace" || request.path == "/v1/statement" ||
                request.path == "/v1/session/close") {
-      errors_.fetch_add(1);
-      resp = ErrorResponseBody(
-          405,
-          Status::InvalidArgument("method not allowed on " + request.path),
-          "error");
+      QueueError(c, 405,
+                 Status::InvalidArgument("method not allowed on " +
+                                         request.path),
+                 /*bag1=*/false, want_close);
     } else {
-      errors_.fetch_add(1);
-      resp = ErrorResponseBody(
-          404, Status::NotFound("no such endpoint: " + request.path),
-          "error");
+      QueueError(c, 404,
+                 Status::NotFound("no such endpoint: " + request.path),
+                 /*bag1=*/false, want_close);
     }
-    QueueResponse(c, resp, want_close);
   }
 
   HttpResponse Healthz() {
@@ -661,8 +720,7 @@ class Server::Impl {
         }
       }
       if (!bad.ok()) {
-        errors_.fetch_add(1);
-        QueueEnvelope(c, ErrorEnvelope(400, bad, "error"), bag1, want_close);
+        QueueError(c, 400, bad, bag1, want_close);
         return;
       }
       session_name = decoded.session.empty() ? "default" : decoded.session;
@@ -672,28 +730,19 @@ class Server::Impl {
     } else {
       auto doc = ParseJson(request.body);
       if (!doc.ok() || !doc->is_object()) {
-        errors_.fetch_add(1);
-        QueueEnvelope(
-            c,
-            ErrorEnvelope(400,
-                          doc.ok() ? Status::InvalidArgument(
-                                         "request body must be a JSON object")
-                                   : doc.status(),
-                          "error"),
-            bag1, want_close);
+        QueueError(c, 400,
+                   doc.ok() ? Status::InvalidArgument(
+                                  "request body must be a JSON object")
+                            : doc.status(),
+                   bag1, want_close);
         return;
       }
       session_name = doc->GetString("session", "default");
       const JsonValue* stmt = doc->Find("statement");
       if (stmt == nullptr || !stmt->is_string() || stmt->string.empty()) {
-        errors_.fetch_add(1);
-        QueueEnvelope(
-            c,
-            ErrorEnvelope(400,
-                          Status::InvalidArgument(
-                              "missing \"statement\" string"),
-                          "error"),
-            bag1, want_close);
+        QueueError(c, 400,
+                   Status::InvalidArgument("missing \"statement\" string"),
+                   bag1, want_close);
         return;
       }
       statement = stmt->string;
@@ -702,24 +751,21 @@ class Server::Impl {
     }
 
     if (!ValidSessionName(session_name)) {
-      errors_.fetch_add(1);
-      QueueEnvelope(c,
-                    ErrorEnvelope(400,
-                                  Status::InvalidArgument(
-                                      "session names are [A-Za-z0-9_-]{1,64}"),
-                                  "error"),
-                    bag1, want_close);
+      QueueError(c, 400,
+                 Status::InvalidArgument(
+                     "session names are [A-Za-z0-9_-]{1,64}"),
+                 bag1, want_close);
       return;
     }
     if (draining()) {
-      QueueEnvelope(c, ShedEnvelope(503, "draining for shutdown"), bag1,
-                    want_close);
+      QueueReady(c, RenderReply(ShedReply(503, "draining for shutdown"), bag1,
+                                want_close));
       return;
     }
     auto session = GetOrCreateSession(session_name);
     if (!session.ok()) {
-      QueueEnvelope(c, ShedEnvelope(503, session.status().message()), bag1,
-                    want_close);
+      QueueReady(c, RenderReply(ShedReply(503, session.status().message()),
+                                bag1, want_close));
       return;
     }
 
@@ -738,16 +784,16 @@ class Server::Impl {
     {
       std::lock_guard<std::mutex> lock(queue_mu_);
       if (draining()) {
-        QueueEnvelope(c, ShedEnvelope(503, "draining for shutdown"), bag1,
-                      want_close);
+        QueueReady(c, RenderReply(ShedReply(503, "draining for shutdown"),
+                                  bag1, want_close));
         return;
       }
       if (queue_.size() >= options_.queue_capacity) {
         const size_t depth = queue_.size();
         const unsigned lanes = std::max(1u, options_.executors);
-        Envelope shed = ShedEnvelope(429, "admission queue full");
+        StatementReply shed = ShedReply(429, "admission queue full");
         shed.retry_after = std::to_string(1 + depth / lanes);
-        QueueEnvelope(c, shed, bag1, want_close);
+        QueueReady(c, RenderReply(shed, bag1, want_close));
         return;
       }
       // Slot seq and session ticket are both issued here, under the queue
@@ -764,16 +810,11 @@ class Server::Impl {
                            bool want_close) {
     auto doc = ParseJson(request.body);
     if (!doc.ok() || !doc->is_object()) {
-      errors_.fetch_add(1);
-      QueueResponse(
-          c,
-          ErrorResponseBody(400,
-                            doc.ok() ? Status::InvalidArgument(
-                                           "request body must be a JSON "
-                                           "object")
-                                     : doc.status(),
-                            "error"),
-          want_close);
+      QueueError(c, 400,
+                 doc.ok() ? Status::InvalidArgument(
+                                "request body must be a JSON object")
+                          : doc.status(),
+                 /*bag1=*/false, want_close);
       return;
     }
     const std::string session_name = doc->GetString("session", "");
@@ -787,13 +828,8 @@ class Server::Impl {
       }
     }
     if (session == nullptr) {
-      errors_.fetch_add(1);
-      QueueResponse(
-          c,
-          ErrorResponseBody(
-              404, Status::NotFound("no such session: " + session_name),
-              "error"),
-          want_close);
+      QueueError(c, 404, Status::NotFound("no such session: " + session_name),
+                 /*bag1=*/false, want_close);
       return;
     }
     // The flush can block on the session mutex behind an in-flight
@@ -996,11 +1032,9 @@ class Server::Impl {
         continue;
       }
       ResponseSlot& slot = c->slots[static_cast<size_t>(idx)];
-      if (completion.job.kind == ExecJob::Kind::kCloseSession) {
-        RenderCloseCompletion(&slot, completion);
-      } else {
-        RenderStatementCompletion(&slot, completion);
-      }
+      slot = completion.job.kind == ExecJob::Kind::kCloseSession
+                 ? RenderCloseCompletion(completion)
+                 : RenderStatementCompletion(completion);
       slot.ready = true;
       --c->in_flight;
       DriveConn(c);
@@ -1018,212 +1052,107 @@ class Server::Impl {
     }
   }
 
-  void RenderCloseCompletion(ResponseSlot* slot, Completion& completion) {
+  ResponseSlot RenderCloseCompletion(const Completion& completion) {
     ok_.fetch_add(1);
     HttpResponse resp;
     resp.body = "{\"ok\":true,\"outcome\":\"ok\",\"closed\":" +
                 obs::JsonQuote(completion.job.session_name) + "}";
-    resp.close = completion.job.want_close;
-    slot->close_after = resp.close;
-    slot->bytes = FormatHttpResponse(resp);
+    return PlainSlot(std::move(resp), completion.job.want_close);
   }
 
-  void RenderStatementCompletion(ResponseSlot* slot,
-                                 Completion& completion) {
+  ResponseSlot RenderStatementCompletion(Completion& completion) {
     StatementResult& result = completion.result;
     CountBucket(BucketFor(result.outcome));
     static obs::Histogram* const request_wall_us =
         obs::GlobalMetrics().GetHistogram("server.request.wall_us");
     request_wall_us->Observe(result.wall_us);
 
+    StatementReply reply;
     if (result.status.ok()) {
-      Envelope env;
-      env.http_status = 200;
-      env.ok = true;
-      env.outcome = "ok";
-      env.session = completion.job.session_name;
-      env.output = std::move(result.output);
-      env.wall_us = result.wall_us;
+      reply.session = completion.job.session_name;
+      reply.wire.ok = true;
+      reply.wire.outcome = "ok";
+      reply.wire.output = std::move(result.output);
       if (result.result.has_value()) {
-        env.has_result = true;
-        env.result = std::move(*result.result);
+        reply.wire.has_result = true;
+        reply.wire.result = std::move(*result.result);
       }
-      RenderEnvelope(slot, env, completion.job.bag1,
-                     completion.job.want_close);
-      return;
+    } else {
+      const int http_status = result.outcome == "draining"
+                                  ? 503
+                                  : HttpStatusForCode(result.status.code());
+      reply = ErrorReply(http_status, result.status,
+                         std::move(result.outcome), std::move(result.flight));
+      if (reply.wire.retryable) reply.retry_after = "1";
     }
-    const int http_status =
-        result.outcome == "draining" ? 503
-                                     : HttpStatusForCode(result.status.code());
-    Envelope env = ErrorEnvelope(http_status, result.status, result.outcome,
-                                 result.flight);
-    env.wall_us = result.wall_us;
-    if (IsRetryable(result.status.code())) env.retry_after = "1";
-    RenderEnvelope(slot, env, completion.job.bag1,
-                   completion.job.want_close);
+    reply.wire.wall_us = result.wall_us;
+    return RenderReply(reply, completion.job.bag1, completion.job.want_close);
   }
 
   // -------------------------------------------------- response rendering
 
-  /// The wire-format-independent shape of a statement response; rendered
-  /// as a JSON envelope, a chunked streamed JSON envelope, or a BAG1
-  /// binary frame depending on size and the request's wire path.
-  struct Envelope {
-    int http_status = 200;
-    bool ok = true;
-    std::string outcome = "ok";
-    std::string session;  // success JSON envelopes include it
-    std::string output;
-    bool has_result = false;
-    Value result;
-    uint64_t wall_us = 0;
-    Status error = Status::Ok();
-    std::string flight;
-    std::string retry_after;  // nonempty → Retry-After header
-  };
-
-  Envelope ErrorEnvelope(int http_status, const Status& status,
-                         std::string_view outcome,
-                         std::string_view flight = "") {
-    Envelope env;
-    env.http_status = http_status;
-    env.ok = false;
-    env.outcome = std::string(outcome);
-    env.error = status;
-    env.flight = std::string(flight);
-    return env;
-  }
-
-  Envelope ShedEnvelope(int http_status, std::string_view why) {
+  StatementReply ShedReply(int http_status, std::string_view why) {
     shed_.fetch_add(1);
-    Envelope env = ErrorEnvelope(http_status,
-                                 Status::Unavailable(std::string(why)),
-                                 "shed");
-    env.retry_after = "1";
-    return env;
+    StatementReply reply = ErrorReply(
+        http_status, Status::Unavailable(std::string(why)), "shed");
+    reply.retry_after = "1";
+    return reply;
   }
 
-  std::string JsonEnvelopeBody(const Envelope& env) {
-    if (env.ok) {
-      std::string body = "{\"ok\":true,\"outcome\":\"ok\",\"session\":" +
-                         obs::JsonQuote(env.session);
-      body += ",\"output\":" + obs::JsonQuote(env.output);
-      if (env.has_result) {
-        body += ",\"result\":" + ValueToWireJson(env.result);
-      }
-      body += ",\"wall_us\":" + std::to_string(env.wall_us) + "}";
-      return body;
-    }
-    std::string body = "{\"ok\":false,\"outcome\":";
-    body += obs::JsonQuote(env.outcome);
-    body += ",\"error\":{\"code\":";
-    body += obs::JsonQuote(StatusCodeName(env.error.code()));
-    body += ",\"message\":";
-    body += obs::JsonQuote(env.error.message());
-    body += ",\"retryable\":";
-    body += IsRetryable(env.error.code()) ? "true" : "false";
-    body += "}";
-    if (!env.flight.empty()) {
-      body += ",\"flight\":" + obs::JsonQuote(env.flight);
-    }
-    body += "}";
-    return body;
-  }
-
-  /// Plain JSON error response for non-statement endpoints (keeps the
-  /// exact envelope the handler-thread server emitted).
-  HttpResponse ErrorResponseBody(int http_status, const Status& status,
-                                 std::string_view outcome,
-                                 std::string_view flight = "") {
-    Envelope env = ErrorEnvelope(http_status, status, outcome, flight);
+  /// Renders a reply as a BAG1 frame or as its JSON envelope. The JSON
+  /// framing follows the measured size: the first kStreamSliceBytes slice
+  /// is produced up front, and a body that fits in it goes out with
+  /// Content-Length; a longer one goes out chunked, and FlushConn streams
+  /// the rest under the write-buffer watermarks.
+  ResponseSlot RenderReply(const StatementReply& reply, bool bag1,
+                           bool close) {
     HttpResponse resp;
-    resp.status = http_status;
-    resp.body = JsonEnvelopeBody(env);
-    return resp;
-  }
-
-  bool ShouldStream(const Envelope& env) const {
-    return env.ok && env.has_result && env.result.IsBag() &&
-           options_.stream_entries_threshold > 0 &&
-           env.result.bag().entries().size() >=
-               options_.stream_entries_threshold;
-  }
-
-  /// Renders an envelope into a response slot: a BAG1 binary frame, a
-  /// chunked streamed JSON envelope, or a materialized JSON body.
-  void RenderEnvelope(ResponseSlot* slot, const Envelope& env, bool bag1,
-                      bool want_close) {
-    HttpResponse resp;
-    resp.status = env.http_status;
-    if (!env.retry_after.empty()) {
-      resp.extra_headers.emplace_back("Retry-After", env.retry_after);
+    resp.status = reply.http_status;
+    resp.close = close;
+    if (!reply.retry_after.empty()) {
+      resp.extra_headers.emplace_back("Retry-After", reply.retry_after);
     }
+    ResponseSlot slot;
+    slot.close_after = close;
     if (bag1) {
-      WireStatementResponse wire;
-      wire.ok = env.ok;
-      wire.outcome = env.outcome;
-      wire.output = env.output;
-      wire.wall_us = env.wall_us;
-      wire.has_result = env.has_result;
-      if (env.has_result) wire.result = env.result;
-      if (!env.ok) {
-        wire.error_code = StatusCodeName(env.error.code());
-        wire.error_message = env.error.message();
-        wire.retryable = IsRetryable(env.error.code());
-      }
-      wire.flight = env.flight;
       resp.content_type = kBag1ContentType;
       resp.body = EncodeFrame(WireFormat::kBinary,
-                              EncodeStatementResponse(wire));
-      resp.close = want_close;
-      slot->close_after = resp.close;
-      slot->bytes = FormatHttpResponse(resp);
-      return;
+                              EncodeStatementResponse(reply.wire));
+      slot.bytes = FormatHttpResponse(resp);
+      return slot;
     }
-    if (ShouldStream(env)) {
-      streamed_responses_.fetch_add(1);
-      std::string prefix = "{\"ok\":true,\"outcome\":\"ok\",\"session\":" +
-                           obs::JsonQuote(env.session);
-      prefix += ",\"output\":" + obs::JsonQuote(env.output);
-      prefix += ",\"result\":";
-      std::string suffix =
-          ",\"wall_us\":" + std::to_string(env.wall_us) + "}";
-      resp.close = want_close;
-      slot->close_after = resp.close;
-      slot->bytes = FormatHttpResponseHead(resp, /*chunked=*/true, 0);
-      slot->stream = std::make_unique<WireJsonStreamer>(
-          std::move(prefix), env.result, std::move(suffix));
-      return;
+    std::unique_ptr<WireJsonStreamer> stream = JsonEnvelope(reply);
+    std::string first;
+    if (!stream->Produce(kStreamSliceBytes, &first)) {
+      slot.bytes = FormatHttpResponseHead(resp, /*chunked=*/false,
+                                          first.size());
+      slot.bytes += first;
+      return slot;
     }
-    resp.body = JsonEnvelopeBody(env);
-    resp.close = want_close;
-    slot->close_after = resp.close;
-    slot->bytes = FormatHttpResponse(resp);
+    streamed_responses_.fetch_add(1);
+    slot.bytes = FormatHttpResponseHead(resp, /*chunked=*/true, 0);
+    AppendHttpChunk(first, &slot.bytes);
+    slot.stream = std::move(stream);
+    return slot;
   }
 
-  /// Queues a ready (synchronous) envelope response in request order.
-  void QueueEnvelope(Conn* c, const Envelope& env, bool bag1,
-                     bool want_close) {
-    c->slots.emplace_back();
-    ResponseSlot* slot = &c->slots.back();
-    RenderEnvelope(slot, env, bag1, want_close);
-    slot->ready = true;
-    if (slot->close_after) c->close_pending = true;
+  /// Queues a response that is ready now, in request order. Deliberately
+  /// does NOT drive the connection: callers inside DriveConn would recurse
+  /// (one stack frame per pipelined request); the enclosing DriveConn loop
+  /// — or the explicit DriveConn in DrainCompletions — picks it up
+  /// iteratively.
+  void QueueReady(Conn* c, ResponseSlot slot) {
+    slot.ready = true;
+    if (slot.close_after) c->close_pending = true;
+    c->slots.push_back(std::move(slot));
   }
 
-  /// Queues a ready (synchronous) plain response in request order.
-  /// Deliberately does NOT drive the connection: callers inside DriveConn
-  /// would recurse (one stack frame per pipelined request); the enclosing
-  /// DriveConn loop — or the explicit DriveConn in DrainCompletions —
-  /// picks it up iteratively.
-  void QueueResponse(Conn* c, HttpResponse resp, bool close) {
-    resp.close = resp.close || close;
-    c->slots.emplace_back();
-    ResponseSlot* slot = &c->slots.back();
-    slot->ready = true;
-    slot->close_after = resp.close;
-    slot->bytes = FormatHttpResponse(resp);
-    if (resp.close) c->close_pending = true;
+  /// Counts and queues a typed error reply.
+  void QueueError(Conn* c, int http_status, const Status& status, bool bag1,
+                  bool close) {
+    errors_.fetch_add(1);
+    QueueReady(c, RenderReply(ErrorReply(http_status, status, "error"), bag1,
+                              close));
   }
 
   /// Reserves the next in-order response slot for a statement headed to

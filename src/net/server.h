@@ -29,8 +29,11 @@
 ///     Connection and session counts are capped the same way (503).
 ///     Executors hand results back through a completion queue and an
 ///     eventfd wakeup; the loop renders and writes the response.
-///   * Large results stream: a statement whose result bag has at least
-///     stream_entries_threshold distinct entries is sent with chunked
+///   * One JSON response path: every JSON reply (success or typed error)
+///     is rendered through one envelope and one value encoder
+///     (WireJsonStreamer). Framing follows the measured size: the first
+///     64 KiB slice is serialized up front, and a body that fits in it goes
+///     out with Content-Length; a longer one goes out with chunked
 ///     transfer-encoding, serialized incrementally against the write
 ///     buffer's watermarks, so one slow reader holds bounded memory —
 ///     EPOLLOUT backpressure paces the serializer.
@@ -99,10 +102,6 @@ struct ServerOptions {
   std::string journal_dir;
   HttpLimits http;
   int backlog = 128;
-  /// Result bags with at least this many distinct entries are sent with
-  /// chunked transfer-encoding, serialized incrementally under write-buffer
-  /// backpressure instead of materialized. 0 disables streaming.
-  size_t stream_entries_threshold = 512;
 };
 
 /// Point-in-time server statistics (also the /healthz payload's numbers).
@@ -120,7 +119,7 @@ struct ServerStats {
   uint64_t keepalive_reuses = 0;  // requests served on a reused connection
   uint64_t pipelined = 0;  // requests that arrived behind an earlier one
   uint64_t bag1_requests = 0;     // statements on the binary wire path
-  uint64_t streamed_responses = 0;  // chunked large-bag responses
+  uint64_t streamed_responses = 0;  // JSON replies past one slice, chunked
   size_t sessions_live = 0;
   size_t connections_live = 0;
   size_t queue_depth = 0;

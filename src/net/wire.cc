@@ -1,6 +1,7 @@
 #include "src/net/wire.h"
 
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "src/lang/parser.h"
@@ -11,49 +12,11 @@ namespace bagalg::net {
 
 namespace {
 
-void AppendValue(const Value& value, const AtomTable& table,
-                 std::string* out);
-
-void AppendBag(const Bag& bag, const AtomTable& table, std::string* out) {
-  out->append("{\"bag\":{\"type\":");
-  out->append(obs::JsonQuote(bag.type().ToString()));
-  out->append(",\"entries\":[");
-  bool first = true;
-  for (const BagEntry& entry : bag.entries()) {
-    if (!first) out->push_back(',');
-    first = false;
-    out->append("{\"v\":");
-    AppendValue(entry.value, table, out);
-    out->append(",\"n\":");
-    out->append(obs::JsonQuote(entry.count.ToString()));
-    out->push_back('}');
-  }
-  out->append("]}}");
-}
-
-void AppendValue(const Value& value, const AtomTable& table,
-                 std::string* out) {
-  switch (value.kind()) {
-    case Value::Kind::kAtom:
-      out->append("{\"atom\":");
-      out->append(obs::JsonQuote(table.NameOf(value.atom_id())));
-      out->push_back('}');
-      return;
-    case Value::Kind::kTuple: {
-      out->append("{\"tuple\":[");
-      bool first = true;
-      for (const Value& field : value.fields()) {
-        if (!first) out->push_back(',');
-        first = false;
-        AppendValue(field, table, out);
-      }
-      out->append("]}");
-      return;
-    }
-    case Value::Kind::kBag:
-      AppendBag(value.bag(), table, out);
-      return;
-  }
+/// Appends `text` as a quoted, escaped JSON string.
+void AppendQuoted(std::string_view text, std::string* out) {
+  out->push_back('"');
+  obs::AppendJsonEscaped(out, text);
+  out->push_back('"');
 }
 
 void PutU32Le(uint32_t v, std::string* out) {
@@ -319,13 +282,9 @@ AtomTable* TableOrGlobal(AtomTable* table) {
 
 std::string ValueToWireJson(const Value& value, const AtomTable* table) {
   std::string out;
-  AppendValue(value, table != nullptr ? *table : GlobalAtomTable(), &out);
-  return out;
-}
-
-std::string BagToWireJson(const Bag& bag, const AtomTable* table) {
-  std::string out;
-  AppendBag(bag, table != nullptr ? *table : GlobalAtomTable(), &out);
+  WireJsonStreamer streamer("", value, "", table);
+  while (streamer.Produce(std::numeric_limits<size_t>::max(), &out)) {
+  }
   return out;
 }
 
@@ -487,7 +446,8 @@ Result<WireStatementResponse> DecodeStatementResponse(std::string_view bytes,
 
 // -------------------------------------------------- streaming JSON bodies
 
-WireJsonStreamer::WireJsonStreamer(std::string prefix, Value value,
+WireJsonStreamer::WireJsonStreamer(std::string prefix,
+                                   std::optional<Value> value,
                                    std::string suffix,
                                    const AtomTable* table)
     : prefix_(std::move(prefix)),
@@ -495,55 +455,67 @@ WireJsonStreamer::WireJsonStreamer(std::string prefix, Value value,
       suffix_(std::move(suffix)),
       table_(table != nullptr ? table : &GlobalAtomTable()) {}
 
-void WireJsonStreamer::OpenValue(const Value& value, std::string* out) {
-  switch (value.kind()) {
-    case Value::Kind::kAtom:
-      out->append("{\"atom\":");
-      out->append(obs::JsonQuote(table_->NameOf(value.atom_id())));
-      out->push_back('}');
-      return;
-    case Value::Kind::kTuple:
-      out->append("{\"tuple\":[");
-      stack_.push_back(Frame{Frame::Kind::kTuple, &value, nullptr, nullptr, 0});
-      return;
-    case Value::Kind::kBag:
-      out->append("{\"bag\":{\"type\":");
-      out->append(obs::JsonQuote(value.bag().type().ToString()));
-      out->append(",\"entries\":[");
-      stack_.push_back(
-          Frame{Frame::Kind::kBag, nullptr, &value.bag(), nullptr, 0});
-      return;
+void WireJsonStreamer::WriteFlat(const Value& value, std::string* out) const {
+  if (value.IsAtom()) {
+    out->append("{\"atom\":");
+    AppendQuoted(table_->NameOf(value.atom_id()), out);
+    out->push_back('}');
+    return;
   }
+  out->append("{\"tuple\":[");
+  bool first = true;
+  for (const Value& field : value.fields()) {
+    if (!first) out->push_back(',');
+    first = false;
+    WriteFlat(field, out);
+  }
+  out->append("]}");
 }
 
-bool WireJsonStreamer::Step(std::string* out) {
+void WireJsonStreamer::OpenValue(const Value& value, std::string* out) {
+  if (value.type().BagNesting() == 0) {
+    WriteFlat(value, out);
+    return;
+  }
+  if (value.IsTuple()) {
+    out->append("{\"tuple\":[");
+    stack_.push_back(Frame{Frame::Kind::kTuple, &value, nullptr, nullptr, 0});
+    return;
+  }
+  out->append("{\"bag\":{\"type\":");
+  AppendQuoted(value.bag().type().ToString(), out);
+  out->append(",\"entries\":[");
+  stack_.push_back(Frame{Frame::Kind::kBag, nullptr, &value.bag(), nullptr, 0});
+}
+
+void WireJsonStreamer::Step(size_t limit, std::string* out) {
   switch (stage_) {
     case Stage::kPrefix:
       out->append(prefix_);
       prefix_.clear();
       stage_ = Stage::kValue;
-      pending_ = &root_;
-      return true;
+      pending_ = root_.has_value() ? &*root_ : nullptr;
+      return;
     case Stage::kValue:
       break;
     case Stage::kSuffix:
       out->append(suffix_);
       suffix_.clear();
       stage_ = Stage::kDone;
-      return true;
+      return;
     case Stage::kDone:
-      return false;
+      return;
   }
 
   if (pending_ != nullptr) {
     const Value& value = *pending_;
     pending_ = nullptr;
     OpenValue(value, out);
-    return true;
+    return;
   }
   if (stack_.empty()) {
     stage_ = Stage::kSuffix;
-    return true;
+    return;
   }
   Frame& top = stack_.back();
   switch (top.kind) {
@@ -556,10 +528,22 @@ bool WireJsonStreamer::Step(std::string* out) {
         out->append("]}");
         stack_.pop_back();
       }
-      return true;
+      return;
     }
     case Frame::Kind::kBag: {
       const std::vector<BagEntry>& entries = top.bag->entries();
+      // Entries with no bag inside go out whole, as many as fit the slice.
+      while (top.index < entries.size() &&
+             entries[top.index].value.type().BagNesting() == 0) {
+        const BagEntry& entry = entries[top.index];
+        if (top.index++ > 0) out->push_back(',');
+        out->append("{\"v\":");
+        WriteFlat(entry.value, out);
+        out->append(",\"n\":\"");
+        out->append(entry.count.ToString());
+        out->append("\"}");
+        if (out->size() >= limit) return;
+      }
       if (top.index < entries.size()) {
         if (top.index > 0) out->push_back(',');
         const BagEntry& entry = entries[top.index++];
@@ -571,26 +555,28 @@ bool WireJsonStreamer::Step(std::string* out) {
         out->append("]}}");
         stack_.pop_back();
       }
-      return true;
+      return;
     }
     case Frame::Kind::kBagEntry: {
-      out->append(",\"n\":");
-      out->append(obs::JsonQuote(top.entry->count.ToString()));
-      out->push_back('}');
+      out->append(",\"n\":\"");
+      out->append(top.entry->count.ToString());
+      out->append("\"}");
       stack_.pop_back();
-      return true;
+      return;
     }
   }
-  return true;
 }
 
 bool WireJsonStreamer::Produce(size_t budget, std::string* out) {
   const size_t start = out->size();
-  while (out->size() - start < budget || out->size() == start) {
-    if (!Step(out)) return false;
-    if (stage_ == Stage::kDone) return false;
+  const size_t limit = budget > std::numeric_limits<size_t>::max() - start
+                           ? std::numeric_limits<size_t>::max()
+                           : start + budget;
+  while (stage_ != Stage::kDone &&
+         (out->size() < limit || out->size() == start)) {
+    Step(limit, out);
   }
-  return true;
+  return stage_ != Stage::kDone;
 }
 
 }  // namespace bagalg::net

@@ -43,6 +43,7 @@
 /// frame holding an encoded WireStatementResponse.
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,13 +55,11 @@ namespace bagalg::net {
 
 class JsonValue;
 
-/// Serializes a value into the wire JSON described above. `table` resolves
-/// atom names (defaults to the global table).
+/// Serializes a value into the wire JSON described above by draining one
+/// WireJsonStreamer. `table` resolves atom names (defaults to the global
+/// table).
 std::string ValueToWireJson(const Value& value,
                             const AtomTable* table = nullptr);
-
-/// Serializes a bag (the common top-level case) into its wire JSON object.
-std::string BagToWireJson(const Bag& bag, const AtomTable* table = nullptr);
 
 /// Decodes a parsed wire-JSON document back into a Value. Atom names are
 /// interned into `table` (the global table if null). Exact inverse of
@@ -157,7 +156,8 @@ Result<WireStatementResponse> DecodeStatementResponse(
 
 // -------------------------------------------------- streaming JSON bodies
 
-/// Resumable wire-JSON serializer for chunked statement responses.
+/// Resumable wire-JSON serializer: the one JSON value encoder. bagalgd
+/// renders every JSON reply through it, and ValueToWireJson drains one.
 ///
 /// A powerset result can serialize to tens of megabytes; materializing that
 /// next to a slow client would let one reader hold the peak. The streamer
@@ -166,15 +166,26 @@ Result<WireStatementResponse> DecodeStatementResponse(
 /// the suffix in caller-bounded slices — the event loop pulls exactly as
 /// much as its write buffer's low-water mark allows and lets EPOLLOUT
 /// backpressure pace the rest.
+///
+/// The cursor is type-directed: a value with no bag inside (bag nesting 0,
+/// paper §2) is written whole, so a bag of such entries goes out in a tight
+/// loop of whole entries up to the slice budget. Only values with a bag
+/// inside are walked one token at a time on the cursor stack, which keeps
+/// memory bounded for nested powerset results.
 class WireJsonStreamer {
  public:
-  /// Streams `prefix` + ValueToWireJson(value) + `suffix`.
-  WireJsonStreamer(std::string prefix, Value value, std::string suffix,
-                   const AtomTable* table = nullptr);
+  /// Streams `prefix`, the wire JSON of `value` if there is one, and
+  /// `suffix`.
+  WireJsonStreamer(std::string prefix, std::optional<Value> value,
+                   std::string suffix, const AtomTable* table = nullptr);
+  // The cursor stack points into root_.
+  WireJsonStreamer(const WireJsonStreamer&) = delete;
+  WireJsonStreamer& operator=(const WireJsonStreamer&) = delete;
 
   /// Appends at least one serialization step and at most ~`budget` bytes
-  /// (may overshoot by one token: tokens are never split). Returns true
-  /// while more output remains, false once the suffix has been emitted.
+  /// (may overshoot by one token or one whole bag entry: neither is ever
+  /// split). Returns true while more output remains, false once the suffix
+  /// has been emitted.
   bool Produce(size_t budget, std::string* out);
 
   bool done() const { return stage_ == Stage::kDone; }
@@ -189,12 +200,15 @@ class WireJsonStreamer {
     size_t index = 0;
   };
 
-  /// Emits one token; returns false when everything has been emitted.
-  bool Step(std::string* out);
+  /// Emits one step: a token, or whole flat bag entries until `out` reaches
+  /// `limit` bytes.
+  void Step(size_t limit, std::string* out);
   void OpenValue(const Value& value, std::string* out);
+  /// Writes a value with no bag inside (atoms and tuples only) whole.
+  void WriteFlat(const Value& value, std::string* out) const;
 
   std::string prefix_;
-  Value root_;  // owns the shared tree; Frame pointers alias into it
+  std::optional<Value> root_;  // owns the shared tree; frames alias into it
   std::string suffix_;
   const AtomTable* table_;
   Stage stage_ = Stage::kPrefix;

@@ -14,6 +14,7 @@
 
 #include "gtest/gtest.h"
 #include "src/core/value.h"
+#include "src/lang/script.h"
 #include "src/net/http.h"
 #include "src/net/io.h"
 #include "src/net/json_reader.h"
@@ -97,7 +98,7 @@ TEST(WireTest, SerializesNestedValues) {
   EXPECT_EQ(ValueToWireJson(Value::Atom(a)), "{\"atom\":\"wire_a\"}");
   EXPECT_EQ(ValueToWireJson(Value::Tuple({Value::Atom(a), Value::Atom(a)})),
             "{\"tuple\":[{\"atom\":\"wire_a\"},{\"atom\":\"wire_a\"}]}");
-  EXPECT_EQ(BagToWireJson(bag),
+  EXPECT_EQ(ValueToWireJson(Value::FromBag(bag)),
             "{\"bag\":{\"type\":\"{{U}}\",\"entries\":[{\"v\":{\"atom\":"
             "\"wire_a\"},\"n\":\"3\"}]}}");
 }
@@ -106,7 +107,8 @@ TEST(WireTest, HugeMultiplicitiesTravelAsStrings) {
   const AtomId a = GlobalAtomTable().Intern("wire_big");
   Bag::Builder builder(Type::Atom());
   builder.Add(Value::Atom(a), BigNat::TwoPow(100));
-  const std::string json = BagToWireJson(*std::move(builder).Build());
+  const std::string json =
+      ValueToWireJson(Value::FromBag(*std::move(builder).Build()));
   // 2^100 — far past double precision; must appear quoted and exact.
   EXPECT_NE(json.find("\"1267650600228229401496703205376\""),
             std::string::npos)
@@ -169,66 +171,76 @@ TEST(HttpTest, StatusMappingFollowsRetryabilityContract) {
   EXPECT_EQ(HttpStatusForCode(StatusCode::kOk), 200);
 }
 
-// Feeds raw bytes to ReadHttpRequest through a socketpair.
-class HttpParseFixture {
- public:
-  HttpParseFixture() {
-    int fds[2] = {-1, -1};
-    EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
-    reader_ = Fd(fds[0]);
-    writer_ = Fd(fds[1]);
-  }
-
-  Result<HttpRequest> Feed(std::string_view bytes, HttpLimits limits = {}) {
-    EXPECT_TRUE(WriteAll(writer_.get(), bytes).ok());
-    writer_.Reset();  // EOF after the payload
-    return ReadHttpRequest(reader_.get(), &buffer_, limits, nullptr);
-  }
-
- private:
-  Fd reader_, writer_;
-  std::string buffer_;
-};
+// Feeds `bytes` to `reader` and pulls one request.
+Result<bool> ParseOne(std::string_view bytes, HttpRequest* out,
+                      HttpReader* reader) {
+  reader->Feed(bytes);
+  return reader->Next(out);
+}
 
 TEST(HttpTest, ParsesRequestWithBody) {
-  HttpParseFixture fixture;
-  auto request = fixture.Feed(
+  HttpReader reader;
+  HttpRequest request;
+  auto got = ParseOne(
       "POST /v1/statement?x=1 HTTP/1.1\r\n"
       "Host: localhost\r\n"
       "Content-Length: 5\r\n"
       "\r\n"
-      "hello");
-  ASSERT_TRUE(request.ok()) << request.status();
-  EXPECT_EQ(request->method, "POST");
-  EXPECT_EQ(request->path, "/v1/statement");
-  EXPECT_EQ(request->query, "x=1");
-  EXPECT_EQ(request->headers.at("host"), "localhost");
-  EXPECT_EQ(request->body, "hello");
+      "hello",
+      &request, &reader);
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_TRUE(*got);
+  EXPECT_EQ(request.method, "POST");
+  EXPECT_EQ(request.path, "/v1/statement");
+  EXPECT_EQ(request.query, "x=1");
+  EXPECT_EQ(request.headers.at("host"), "localhost");
+  EXPECT_EQ(request.body, "hello");
 }
 
 TEST(HttpTest, RejectsOversizedBody) {
-  HttpParseFixture fixture;
   HttpLimits limits;
   limits.max_body_bytes = 4;
-  auto request = fixture.Feed(
-      "POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\n0123456789", limits);
-  ASSERT_FALSE(request.ok());
-  EXPECT_EQ(request.status().code(), StatusCode::kResourceExhausted);
+  HttpReader reader(limits);
+  HttpRequest request;
+  auto got = ParseOne("POST / HTTP/1.1\r\nContent-Length: 10\r\n\r\n0123456789",
+                      &request, &reader);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(reader.error_status(), 413);
 }
 
 TEST(HttpTest, RejectsMalformedRequestLine) {
-  HttpParseFixture fixture;
-  auto request = fixture.Feed("GARBAGE\r\n\r\n");
-  ASSERT_FALSE(request.ok());
-  EXPECT_EQ(request.status().code(), StatusCode::kParseError);
+  HttpReader reader;
+  HttpRequest request;
+  auto got = ParseOne("GARBAGE\r\n\r\n", &request, &reader);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kParseError);
+  EXPECT_EQ(reader.error_status(), 400);
 }
 
-TEST(HttpTest, MidRequestEofIsAnIoError) {
-  HttpParseFixture fixture;
-  auto request = fixture.Feed(
-      "POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort");
-  ASSERT_FALSE(request.ok());
-  EXPECT_EQ(request.status().code(), StatusCode::kUnavailable);
+TEST(HttpTest, RejectsOversizedHeaderBlock) {
+  HttpLimits limits;
+  limits.max_header_bytes = 64;
+  HttpReader reader(limits);
+  HttpRequest request;
+  std::string padded = "GET / HTTP/1.1\r\nX-Pad: ";
+  padded.append(100, 'p');
+  auto got = ParseOne(padded, &request, &reader);
+  ASSERT_FALSE(got.ok());
+  EXPECT_EQ(got.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(reader.error_status(), 431);
+}
+
+TEST(HttpReaderTest, BodyCutShortIsMidRequest) {
+  // A head whose body has not fully arrived: the reader waits for more, and
+  // an EOF now would tear the request.
+  HttpReader reader;
+  HttpRequest request;
+  auto got = ParseOne("POST / HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort",
+                      &request, &reader);
+  ASSERT_TRUE(got.ok()) << got.status();
+  EXPECT_FALSE(*got);
+  EXPECT_TRUE(reader.mid_request());
 }
 
 // ---------------------------------------------------------------- server
@@ -832,20 +844,73 @@ TEST(WireBinaryTest, BinaryFramesRoundTrip) {
   EXPECT_EQ(short_frame.status().code(), StatusCode::kUnavailable);
 }
 
+// {{ {{gold_x*2, gold_y}}, {{gold_y: 2^100}}: 2^100, {{}}*3 }} — a bag of
+// bags, with a multiplicity past 2^64 at both levels.
+Value MakeBagOfBags() {
+  AtomTable& table = GlobalAtomTable();
+  const AtomId x = table.Intern("gold_x");
+  const AtomId y = table.Intern("gold_y");
+  Bag::Builder pair(Type::Atom());
+  pair.Add(Value::Atom(x), 2);
+  pair.Add(Value::Atom(y), 1);
+  Bag::Builder huge(Type::Atom());
+  huge.Add(Value::Atom(y), BigNat::TwoPow(100));
+  Bag::Builder empty(Type::Atom());
+  Bag::Builder outer(Type::Bag(Type::Atom()));
+  outer.Add(Value::FromBag(*std::move(pair).Build()), 1);
+  outer.Add(Value::FromBag(*std::move(huge).Build()), BigNat::TwoPow(100));
+  outer.Add(Value::FromBag(*std::move(empty).Build()), 3);
+  return Value::FromBag(*std::move(outer).Build());
+}
+
+// {{[gold_x, gold_y]*2, [gold_y, gold_x]}} — flat entries, written whole.
+Value MakeFlatTupleBag() {
+  const Value x = Value::Atom(GlobalAtomTable().Intern("gold_x"));
+  const Value y = Value::Atom(GlobalAtomTable().Intern("gold_y"));
+  Bag::Builder builder(Type::Tuple({Type::Atom(), Type::Atom()}));
+  builder.Add(Value::Tuple({x, y}), 2);
+  builder.Add(Value::Tuple({y, x}), 1);
+  return Value::FromBag(*std::move(builder).Build());
+}
+
 TEST(WireStreamerTest, ProducesExactlyTheMaterializedJson) {
-  const Value fixture = MakeFixtureBag();
-  const std::string expected =
-      "{\"result\":" + ValueToWireJson(fixture) + ",\"ok\":true}";
-  // Any budget must yield identical bytes — only the slicing differs.
-  for (const size_t budget : {size_t{1}, size_t{7}, size_t{64}, size_t{1 << 20}}) {
-    WireJsonStreamer streamer("{\"result\":", fixture, ",\"ok\":true}");
-    std::string produced;
-    size_t slices = 0;
-    while (streamer.Produce(budget, &produced)) {
-      ASSERT_LT(++slices, size_t{100000});
+  const std::string kTwoPow100 = "\"1267650600228229401496703205376\"";
+  const std::pair<Value, std::string> cases[] = {
+      // A tuple holding a bag.
+      {MakeFixtureBag(),
+       R"({"bag":{"type":"{{[U, {{U}}]}}","entries":[{"v":{"tuple":[)"
+       R"({"atom":"bin_a"},{"bag":{"type":"{{U}}","entries":[{"v":)"
+       R"({"atom":"bin_b"},"n":)" + kTwoPow100 +
+           R"(}]}}]},"n":"3"},{"v":{"tuple":[{"atom":"bin_b"},{"bag":)"
+           R"({"type":"{{U}}","entries":[]}}]},"n":"1"}]}})"},
+      // A bag of bags.
+      {MakeBagOfBags(),
+       R"({"bag":{"type":"{{{{U}}}}","entries":[{"v":{"bag":{"type":)"
+       R"("{{U}}","entries":[]}},"n":"3"},{"v":{"bag":{"type":"{{U}}",)"
+       R"("entries":[{"v":{"atom":"gold_x"},"n":"2"},{"v":{"atom":)"
+       R"("gold_y"},"n":"1"}]}},"n":"1"},{"v":{"bag":{"type":"{{U}}",)"
+       R"("entries":[{"v":{"atom":"gold_y"},"n":)" + kTwoPow100 +
+           R"(}]}},"n":)" + kTwoPow100 + R"(}]}})"},
+      {MakeFlatTupleBag(),
+       R"({"bag":{"type":"{{[U, U]}}","entries":[{"v":{"tuple":[{"atom":)"
+       R"("gold_x"},{"atom":"gold_y"}]},"n":"2"},{"v":{"tuple":[{"atom":)"
+       R"("gold_y"},{"atom":"gold_x"}]},"n":"1"}]}})"},
+  };
+  for (const auto& [value, golden] : cases) {
+    EXPECT_EQ(ValueToWireJson(value), golden);
+    const std::string expected = "{\"result\":" + golden + ",\"ok\":true}";
+    // Any budget must yield identical bytes — only the slicing differs.
+    for (const size_t budget :
+         {size_t{1}, size_t{7}, size_t{64}, size_t{1 << 20}}) {
+      WireJsonStreamer streamer("{\"result\":", value, ",\"ok\":true}");
+      std::string produced;
+      size_t slices = 0;
+      while (streamer.Produce(budget, &produced)) {
+        ASSERT_LT(++slices, size_t{100000});
+      }
+      EXPECT_TRUE(streamer.done());
+      EXPECT_EQ(produced, expected) << "budget=" << budget;
     }
-    EXPECT_TRUE(streamer.done());
-    EXPECT_EQ(produced, expected) << "budget=" << budget;
   }
 }
 
@@ -1124,29 +1189,32 @@ TEST(ServerTest, Bag1BinaryStatementsSkipJsonBothWays) {
 
 TEST(ServerTest, LargeResultsStreamChunked) {
   ServerOptions options;
-  options.stream_entries_threshold = 4;
   auto server = Server::Start(options);
   ASSERT_TRUE(server.ok()) << server.status();
   KeepAliveClient client((*server)->port());
   ASSERT_TRUE(client.connected());
 
-  // pow({{a,b,c}}) has 8 distinct subbags — over the threshold of 4, so
-  // the response must arrive chunked and still be byte-perfect JSON.
+  // pow of 10 atoms: 1024 nested subbags, well over one 64 KiB slice, so
+  // the response must arrive chunked and still decode exactly.
+  const std::string statement = "eval pow('{{a, b, c, d, e, f, g, h, i, j}})";
   ASSERT_TRUE(client.Send(KeepAliveClient::Request(
       "POST", "/v1/statement",
-      R"js({"session":"big","statement":"eval pow('{{a, b, c}})"})js")));
+      R"js({"session":"big","statement":")js" + statement + R"js("})js")));
   ClientResponse r;
   ASSERT_TRUE(client.ReadResponse(&r));
   EXPECT_EQ(r.status, 200) << r.raw;
   EXPECT_NE(r.raw.find("Transfer-Encoding: chunked"), std::string::npos);
+  EXPECT_GT(r.body.size(), size_t{64 * 1024});
   auto doc = ParseJson(r.body);
-  ASSERT_TRUE(doc.ok()) << doc.status() << "\n" << r.body;
+  ASSERT_TRUE(doc.ok()) << doc.status();
   const JsonValue* result = doc->Find("result");
   ASSERT_NE(result, nullptr);
   auto value = WireJsonToValue(*result);
   ASSERT_TRUE(value.ok()) << value.status();
-  ASSERT_TRUE(value->IsBag());
-  EXPECT_EQ(value->bag().entries().size(), 8u);
+  lang::ScriptRunner local;
+  ASSERT_TRUE(local.RunLine(statement).ok());
+  ASSERT_TRUE(local.last_result().has_value());
+  EXPECT_EQ(*value, *local.last_result());
 
   // The connection re-arms after a chunked response: keep-alive holds.
   ASSERT_TRUE(client.Send(KeepAliveClient::Request("GET", "/healthz", "")));
@@ -1158,6 +1226,102 @@ TEST(ServerTest, LargeResultsStreamChunked) {
   (*server)->RequestShutdown();
   (*server)->Wait();
   EXPECT_EQ((*server)->stats().streamed_responses, 1u);
+}
+
+TEST(ServerTest, ResultsWithinOneSliceGoOutWithContentLength) {
+  ServerOptions options;
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  KeepAliveClient client((*server)->port());
+  ASSERT_TRUE(client.connected());
+
+  // 600 distinct entries, but a body well under 64 KiB: framing follows
+  // the body's size, not its entry count.
+  std::string literal = "{{";
+  for (int i = 0; i < 600; ++i) {
+    if (i > 0) literal += ", ";
+    literal += 's';
+    literal += std::to_string(i);
+  }
+  literal += "}}";
+  ASSERT_TRUE(client.Send(KeepAliveClient::Request(
+      "POST", "/v1/statement",
+      R"js({"session":"small","statement":"eval ')js" + literal +
+          R"js("})js")));
+  ClientResponse r;
+  ASSERT_TRUE(client.ReadResponse(&r));
+  EXPECT_EQ(r.status, 200) << r.raw;
+  EXPECT_NE(r.raw.find("Content-Length: "), std::string::npos);
+  EXPECT_EQ(r.raw.find("Transfer-Encoding"), std::string::npos);
+  EXPECT_LT(r.body.size(), size_t{64 * 1024});
+  auto doc = ParseJson(r.body);
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  auto value = WireJsonToValue(*doc->Find("result"));
+  ASSERT_TRUE(value.ok()) << value.status();
+  EXPECT_EQ(value->bag().entries().size(), 600u);
+  client.Close();
+
+  (*server)->RequestShutdown();
+  (*server)->Wait();
+  EXPECT_EQ((*server)->stats().streamed_responses, 0u);
+}
+
+TEST(ServerTest, OversizedHeadersAre431AndOversizedBodiesAre413) {
+  ServerOptions options;
+  options.http.max_header_bytes = 1024;
+  options.http.max_body_bytes = 64;
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  const uint16_t port = (*server)->port();
+
+  // Each peer sends its whole request in one write and nothing after, so
+  // the server's close never races unread bytes into a reset.
+  KeepAliveClient headers(port);
+  ASSERT_TRUE(headers.connected());
+  std::string padded = "GET /healthz HTTP/1.1\r\nX-Pad: ";
+  padded.append(2048, 'p');
+  padded += "\r\n\r\n";
+  ASSERT_TRUE(headers.Send(padded));
+  ClientResponse too_long;
+  ASSERT_TRUE(headers.ReadResponse(&too_long));
+  EXPECT_EQ(too_long.status, 431) << too_long.raw;
+  EXPECT_NE(too_long.raw.find("Connection: close"), std::string::npos);
+
+  KeepAliveClient body(port);
+  ASSERT_TRUE(body.connected());
+  ASSERT_TRUE(body.Send(
+      "POST /v1/statement HTTP/1.1\r\nContent-Length: 100000\r\n\r\n"));
+  ClientResponse too_big;
+  ASSERT_TRUE(body.ReadResponse(&too_big));
+  EXPECT_EQ(too_big.status, 413) << too_big.raw;
+  EXPECT_NE(too_big.body.find("\"code\":\"ResourceExhausted\""),
+            std::string::npos)
+      << too_big.body;
+
+  (*server)->RequestShutdown();
+  (*server)->Wait();
+  EXPECT_EQ((*server)->stats().errors, 2u);
+}
+
+TEST(ServerTest, TornPeerIsAnIoErrorAndGetsNoResponse) {
+  ServerOptions options;
+  auto server = Server::Start(options);
+  ASSERT_TRUE(server.ok()) << server.status();
+  KeepAliveClient client((*server)->port());
+  ASSERT_TRUE(client.connected());
+
+  // A head promising 100 body bytes, 5 of them, then EOF: the request is
+  // torn, so the server counts an io error and closes without answering.
+  ASSERT_TRUE(client.Send(
+      "POST /v1/statement HTTP/1.1\r\nContent-Length: 100\r\n\r\nshort"));
+  client.HalfClose();
+  ClientResponse r;
+  EXPECT_FALSE(client.ReadResponse(&r)) << r.raw;
+
+  (*server)->RequestShutdown();
+  (*server)->Wait();
+  EXPECT_EQ((*server)->stats().io_errors, 1u);
+  EXPECT_EQ((*server)->stats().requests, 0u);
 }
 
 TEST(ServerTest, EpollMetricsAreExposed) {
