@@ -12,7 +12,12 @@
 //    amortized across the batch), a 1000-connection keep-alive fleet with
 //    every outcome typed (ok or shed — an untyped failure aborts the
 //    bench), and the BAG1 binary statement path against its JSON
-//    equivalent on both small and large result bags.
+//    equivalent on both small and large result bags;
+//  - executor contention: the bulk cycle (2048-row upload, 8192-row
+//    download rendered as text, JSON and BAG1) on one ScriptRunner per
+//    thread, at 1 and 2 threads. The cycles share nothing but the
+//    process-wide state (atom table, types, metrics), so process CPU per
+//    cycle should not grow with the thread count.
 //
 // Collected by bench/run_benchmarks.sh into BENCH_bench_server.json.
 
@@ -26,15 +31,18 @@
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <set>
 #include <string>
 #include <utility>
 
 #include "src/core/value.h"
+#include "src/lang/script.h"
 #include "src/net/http.h"
 #include "src/net/io.h"
 #include "src/net/json_reader.h"
 #include "src/net/server.h"
 #include "src/net/wire.h"
+#include "src/util/rng.h"
 
 namespace bagalg::net {
 namespace {
@@ -433,6 +441,64 @@ void BM_LoopbackConcurrentKeepAlive(benchmark::State& state) {
 BENCHMARK(BM_LoopbackConcurrentKeepAlive)
     ->Arg(128)
     ->Arg(1000)
+    ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------- contention
+
+/// A literal of `rows` distinct pairs over atoms b0..b63, multiplicities
+/// 1-2: the shape of bagalgd's bulk uploads.
+std::string BulkPairBag(Rng& rng, size_t rows) {
+  std::set<std::pair<uint64_t, uint64_t>> picked;
+  while (picked.size() < rows) picked.emplace(rng.Below(64), rng.Below(64));
+  std::string out = "{{";
+  for (const auto& [a, b] : picked) {
+    if (out.size() > 2) out += ", ";
+    out += "[b";
+    out += std::to_string(a);
+    out += ", b";
+    out += std::to_string(b);
+    out += "]";
+    if (rng.Coin()) out += "*2";
+  }
+  out += "}}";
+  return out;
+}
+
+/// One bulk cycle per iteration, each thread on its own ScriptRunner: two
+/// 2048-row `let` uploads, each followed by a download of prod(U, K)
+/// (8192 rows; `eval` then `exec`) that renders the text output, JSON
+/// and BAG1. Reports process CPU time per cycle, so executors contending
+/// on shared state show as 2 threads costing more per cycle than 1.
+void BM_BulkCycle(benchmark::State& state) {
+  Rng rng(0xb01c);
+  const std::string first = "let U = " + BulkPairBag(rng, 2048);
+  const std::string second = "let U = " + BulkPairBag(rng, 2048);
+  lang::ScriptRunner runner;
+  if (!runner.RunLine("let K = {{[k0], [k1], [k2], [k3]}}").ok()) {
+    state.SkipWithError("bulk load failed");
+    return;
+  }
+  auto download = [&](const char* statement) {
+    auto output = runner.RunLine(statement);
+    if (!output.ok() || !runner.last_result().has_value()) return false;
+    benchmark::DoNotOptimize(output->size());
+    benchmark::DoNotOptimize(ValueToWireJson(*runner.last_result()).size());
+    benchmark::DoNotOptimize(
+        ValueToWireBinary(*runner.last_result()).size());
+    return true;
+  };
+  for (auto _ : state) {
+    if (!runner.RunLine(first).ok() || !download("eval prod(U, K)") ||
+        !runner.RunLine(second).ok() || !download("exec prod(U, K)")) {
+      state.SkipWithError("bulk cycle failed");
+      return;
+    }
+  }
+}
+BENCHMARK(BM_BulkCycle)
+    ->MeasureProcessCPUTime()
+    ->Threads(1)
+    ->Threads(2)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

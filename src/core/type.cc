@@ -1,5 +1,6 @@
 #include "src/core/type.h"
 
+#include <algorithm>
 #include <cassert>
 
 #include "src/util/strings.h"
@@ -19,24 +20,41 @@ size_t CombineHash(size_t seed, size_t v) {
   return seed ^ (v + 0x9e3779b97f4a7c15ull + (seed << 6) + (seed >> 2));
 }
 
-const std::shared_ptr<const Type::Rep>& AtomRep() {
-  static auto rep = [] {
-    auto r = std::make_shared<Type::Rep>();
-    r->kind = Type::Kind::kAtom;
-    r->hash = 0x41u;
-    return std::shared_ptr<const Type::Rep>(std::move(r));
-  }();
+/// The rep Type::Tuple builds over `fields`.
+Type::Rep TupleRep(std::vector<Type> fields) {
+  Type::Rep rep;
+  rep.kind = Type::Kind::kTuple;
+  size_t h = 0x54u;
+  int nesting = 0;
+  for (const Type& f : fields) {
+    h = CombineHash(h, f.Hash());
+    nesting = std::max(nesting, f.BagNesting());
+  }
+  rep.children = std::move(fields);
+  rep.bag_nesting = nesting;
+  rep.hash = h;
   return rep;
 }
 
+/// A process-lifetime rep behind a non-owning pointer: the aliasing
+/// constructor over an empty owner gives it no control block, so copying
+/// or destroying a Type that holds it touches no reference count. The rep
+/// is leaked, so it outlives every static.
+std::shared_ptr<const Type::Rep> Immortal(Type::Rep rep) {
+  return std::shared_ptr<const Type::Rep>(std::shared_ptr<void>(),
+                                          new Type::Rep(std::move(rep)));
+}
+
+const std::shared_ptr<const Type::Rep>& AtomRep() {
+  static const auto* rep = new std::shared_ptr<const Type::Rep>(
+      Immortal({Type::Kind::kAtom, {}, 0, 0x41u}));
+  return *rep;
+}
+
 const std::shared_ptr<const Type::Rep>& BottomRep() {
-  static auto rep = [] {
-    auto r = std::make_shared<Type::Rep>();
-    r->kind = Type::Kind::kBottom;
-    r->hash = 0x5fu;
-    return std::shared_ptr<const Type::Rep>(std::move(r));
-  }();
-  return rep;
+  static const auto* rep = new std::shared_ptr<const Type::Rep>(
+      Immortal({Type::Kind::kBottom, {}, 0, 0x5fu}));
+  return *rep;
 }
 
 }  // namespace
@@ -48,18 +66,19 @@ Type Type::Atom() { return Type(AtomRep()); }
 Type Type::Bottom() { return Type(BottomRep()); }
 
 Type Type::Tuple(std::vector<Type> fields) {
-  auto rep = std::make_shared<Rep>();
-  rep->kind = Kind::kTuple;
-  size_t h = 0x54u;
-  int nesting = 0;
-  for (const Type& f : fields) {
-    h = CombineHash(h, f.Hash());
-    nesting = std::max(nesting, f.BagNesting());
-  }
-  rep->children = std::move(fields);
-  rep->bag_nesting = nesting;
-  rep->hash = h;
-  return Type(std::move(rep));
+  return Type(std::make_shared<Rep>(TupleRep(std::move(fields))));
+}
+
+Type Type::FlatTuple(size_t arity) {
+  static const auto* reps = [] {
+    auto* out = new std::vector<std::shared_ptr<const Rep>>();
+    for (size_t k = 0; k < kImmortalFlatArity; ++k) {
+      out->push_back(Immortal(TupleRep(std::vector<Type>(k, Atom()))));
+    }
+    return out;
+  }();
+  if (arity < kImmortalFlatArity) return Type((*reps)[arity]);
+  return Tuple(std::vector<Type>(arity, Atom()));
 }
 
 Type Type::Bag(Type element) {

@@ -12,7 +12,10 @@
 /// root-to-leaf path — stratifies the algebra into the fragments BALG^k the
 /// paper studies.
 ///
-/// Type values are immutable shared trees; copying is O(1).
+/// Type values are immutable shared trees; copying is O(1). The types
+/// built once per row (U, Bottom, and flat tuples [U, ..., U] of arity
+/// below Type::kImmortalFlatArity) are process-lifetime singletons with no
+/// reference count, so copying or destroying them writes no shared memory.
 
 #include <memory>
 #include <ostream>
@@ -41,6 +44,13 @@ class Type {
   static Type Bag(Type element);
   /// Constructs the Bottom type.
   static Type Bottom();
+  /// The flat tuple type [U, ..., U] of the given arity: equal to (same
+  /// hash, children and nesting as) Tuple over `arity` copies of Atom(),
+  /// but immortal, with no allocation, below kImmortalFlatArity.
+  static Type FlatTuple(size_t arity);
+
+  /// Flat tuple arities whose types are immortal singletons.
+  static constexpr size_t kImmortalFlatArity = 8;
 
   /// Default-constructs Bottom (so Type is regular).
   Type();

@@ -208,14 +208,21 @@ Value Value::Tuple(std::vector<Value> fields) {
   auto rep = std::make_shared<Rep>();
   rep->kind = Kind::kTuple;
   size_t h = 0x70u;
-  std::vector<Type> field_types;
-  field_types.reserve(fields.size());
+  bool flat = true;
   for (const Value& f : fields) {
     h = CombineHash(h, f.Hash());
-    field_types.push_back(f.type());
+    flat = flat && f.IsAtom();
+  }
+  if (flat) {
+    // The BALG¹ row: its type is an immortal singleton, not a new rep.
+    rep->type = Type::FlatTuple(fields.size());
+  } else {
+    std::vector<Type> field_types;
+    field_types.reserve(fields.size());
+    for (const Value& f : fields) field_types.push_back(f.type());
+    rep->type = Type::Tuple(std::move(field_types));
   }
   rep->fields = std::move(fields);
-  rep->type = Type::Tuple(std::move(field_types));
   rep->hash = h;
   return Value(std::move(rep));
 }
@@ -284,24 +291,59 @@ bool Value::operator==(const Value& other) const {
   return Compare(other) == 0;
 }
 
-std::string Value::ToString(const AtomTable* table) const {
-  const AtomTable& t = table != nullptr ? *table : GlobalAtomTable();
-  switch (kind()) {
-    case Kind::kAtom:
-      return t.NameOf(atom_id());
-    case Kind::kTuple: {
-      std::string out = "[";
-      for (size_t i = 0; i < fields().size(); ++i) {
-        if (i > 0) out += ", ";
-        out += fields()[i].ToString(table);
+namespace {
+
+void AppendText(const Bag& bag, const AtomTable& table, std::string* out);
+
+/// The one text renderer behind Value::ToString and Bag::ToString: every
+/// atom, tuple and entry appends into `out`.
+void AppendText(const Value& value, const AtomTable& table, std::string* out) {
+  switch (value.kind()) {
+    case Value::Kind::kAtom:
+      table.AppendName(value.atom_id(), out);
+      return;
+    case Value::Kind::kTuple: {
+      out->push_back('[');
+      bool first = true;
+      for (const Value& field : value.fields()) {
+        if (!first) out->append(", ");
+        first = false;
+        AppendText(field, table, out);
       }
-      out += "]";
-      return out;
+      out->push_back(']');
+      return;
     }
-    case Kind::kBag:
-      return bag().ToString(table);
+    case Value::Kind::kBag:
+      AppendText(value.bag(), table, out);
+      return;
   }
-  return "?";
+}
+
+void AppendText(const Bag& bag, const AtomTable& table, std::string* out) {
+  out->append("{{");
+  bool first = true;
+  for (const BagEntry& e : bag.entries()) {
+    if (!first) out->append(", ");
+    first = false;
+    AppendText(e.value, table, out);
+    if (!e.count.IsOne()) {
+      out->push_back('*');
+      out->append(e.count.ToString());
+    }
+  }
+  out->append("}}");
+}
+
+const AtomTable& TableOrGlobal(const AtomTable* table) {
+  return table != nullptr ? *table : GlobalAtomTable();
+}
+
+}  // namespace
+
+std::string Value::ToString(const AtomTable* table) const {
+  std::string out;
+  AppendText(*this, TableOrGlobal(table), &out);
+  return out;
 }
 
 // ----------------------------------------------------------------------- Bag
@@ -504,18 +546,8 @@ bool Bag::operator==(const Bag& other) const {
 }
 
 std::string Bag::ToString(const AtomTable* table) const {
-  std::string out = "{{";
-  bool first = true;
-  for (const BagEntry& e : entries()) {
-    if (!first) out += ", ";
-    first = false;
-    out += e.value.ToString(table);
-    if (!e.count.IsOne()) {
-      out += "*";
-      out += e.count.ToString();
-    }
-  }
-  out += "}}";
+  std::string out;
+  AppendText(*this, TableOrGlobal(table), &out);
   return out;
 }
 

@@ -1,5 +1,6 @@
 #include "src/lang/parser.h"
 
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -43,7 +44,7 @@ class Parser {
         table_(table != nullptr ? table : &GlobalAtomTable()) {}
 
   const Token& Peek() const { return tokens_[pos_]; }
-  Token Next() { return tokens_[pos_++]; }
+  const Token& Next() { return tokens_[pos_++]; }
 
   Status Expect(TokenKind kind) {
     if (Peek().kind != kind) {
@@ -76,10 +77,8 @@ class Parser {
     const Token& t = Peek();
     switch (t.kind) {
       case TokenKind::kIdent:
-      case TokenKind::kNumber: {
-        Token tok = Next();
-        return Value::Atom(table_->Intern(tok.text));
-      }
+      case TokenKind::kNumber:
+        return InternAtom(Next().text);
       case TokenKind::kLBracket: {
         Next();
         std::vector<Value> fields;
@@ -172,7 +171,7 @@ class Parser {
                                 std::to_string(t.offset) + ", found " +
                                 TokenKindName(t.kind));
     }
-    Token name = Next();
+    const Token& name = Next();
     auto kw = KeywordMap().find(name.text);
     if (kw != KeywordMap().end() && Peek().kind == TokenKind::kLParen) {
       return ParseOperator(kw->second, name);
@@ -197,7 +196,7 @@ class Parser {
       return Status::ParseError("expected an attribute number at offset " +
                                 std::to_string(Peek().offset));
     }
-    Token tok = Next();
+    const Token& tok = Next();
     BAGALG_ASSIGN_OR_RETURN(BigNat n, BigNat::FromDecimal(tok.text));
     BAGALG_ASSIGN_OR_RETURN(uint64_t v, n.ToUint64());
     if (v == 0) {
@@ -212,7 +211,7 @@ class Parser {
       return Status::ParseError("expected a variable name at offset " +
                                 std::to_string(Peek().offset));
     }
-    Token tok = Next();
+    const Token& tok = Next();
     if (KeywordMap().count(tok.text) != 0) {
       return Status::ParseError("reserved word '" + tok.text +
                                 "' cannot be a variable (offset " +
@@ -368,10 +367,22 @@ class Parser {
     }
   }
 
-  std::vector<Token> tokens_;
+  /// The atom value for `name`, interned once per distinct name per parse:
+  /// a large literal repeats few atoms, and each intern takes the table's
+  /// mutex. Keys view the token texts, which live as long as the parser.
+  Value InternAtom(const std::string& name) {
+    auto it = atoms_.find(name);
+    if (it == atoms_.end()) {
+      it = atoms_.emplace(name, Value::Atom(table_->Intern(name))).first;
+    }
+    return it->second;
+  }
+
+  const std::vector<Token> tokens_;
   size_t pos_ = 0;
   AtomTable* table_;
   std::vector<std::string> vars_;
+  std::unordered_map<std::string_view, Value> atoms_;
 };
 
 }  // namespace

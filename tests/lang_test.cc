@@ -90,6 +90,43 @@ TEST(ParseValueTest, ValueRoundTripsThroughToString) {
   }
 }
 
+// Each distinct atom name is interned once per parse, however often the
+// literal repeats it, and the parsed bag is the one MakeAtom builds.
+TEST(ParseValueTest, RepeatedAtomsInternOncePerName) {
+  AtomTable flat_table;
+  auto flat = ParseValue("{{[a, b]*2, [b, a], [a, a], [c, b], [b, b]}}",
+                         &flat_table);
+  ASSERT_TRUE(flat.ok()) << flat.status().ToString();
+  EXPECT_EQ(flat_table.size(), 3u);
+  const auto at = [&](const char* name) { return MakeAtom(name, &flat_table); };
+  Bag::Builder builder;
+  builder.Add(MakeTuple({at("a"), at("b")}), Mult(2));
+  builder.AddOne(MakeTuple({at("b"), at("a")}));
+  builder.AddOne(MakeTuple({at("a"), at("a")}));
+  builder.AddOne(MakeTuple({at("c"), at("b")}));
+  builder.AddOne(MakeTuple({at("b"), at("b")}));
+  auto expected = std::move(builder).Build();
+  ASSERT_TRUE(expected.ok());
+  EXPECT_EQ(flat_table.size(), 3u);  // MakeAtom found every name
+  EXPECT_EQ(*flat, Value::FromBag(*expected));
+  EXPECT_EQ(flat->type(), Value::FromBag(*expected).type());
+  EXPECT_EQ(flat->ToString(&flat_table),
+            "{{[a, a], [a, b]*2, [b, a], [b, b], [c, b]}}");
+  // A second parse reuses the interned ids.
+  auto again = ParseValue("{{[c, c], [a, c]}}", &flat_table);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(flat_table.size(), 3u);
+  // Nested literals and quoted expression literals share the memo too.
+  AtomTable nested_table;
+  auto nested = ParseValue("{{[x, {{y, x*3}}], [y, {{x}}]}}", &nested_table);
+  ASSERT_TRUE(nested.ok());
+  EXPECT_EQ(nested_table.size(), 2u);
+  AtomTable expr_table;
+  auto expr = ParseExpr("uplus('{{p, q, p}}, '{{q, p}})", &expr_table);
+  ASSERT_TRUE(expr.ok());
+  EXPECT_EQ(expr_table.size(), 2u);
+}
+
 TEST(ParseValueTest, Errors) {
   EXPECT_FALSE(ParseValue("").ok());
   EXPECT_FALSE(ParseValue("[a").ok());

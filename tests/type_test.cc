@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/core/value.h"
+
 namespace bagalg {
 namespace {
 
@@ -125,6 +129,68 @@ TEST(TypeTest, CopyIsCheapAndShared) {
   Type b = a;
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.Hash(), b.Hash());
+}
+
+// Flat tuples [U, ..., U] below kImmortalFlatArity are process-lifetime
+// singletons; at and past the edge they are built like any other tuple.
+// Either way they must be indistinguishable from the general path.
+TEST(TypeTest, FlatTuplesAgreeWithTheGeneralPath) {
+  static_assert(Type::kImmortalFlatArity == 8);
+  for (size_t arity = 0; arity <= 9; ++arity) {
+    SCOPED_TRACE(arity);
+    const Type flat = Type::FlatTuple(arity);
+    const Type general = Type::Tuple(std::vector<Type>(arity, U()));
+    EXPECT_TRUE(flat.IsTuple());
+    EXPECT_EQ(flat.fields().size(), arity);
+    EXPECT_EQ(flat, general);
+    EXPECT_EQ(general, flat);
+    EXPECT_EQ(flat.Hash(), general.Hash());
+    EXPECT_EQ(flat.BagNesting(), 0);
+    EXPECT_EQ(flat.BagNesting(), general.BagNesting());
+    EXPECT_TRUE(flat.Accepts(general));
+    EXPECT_TRUE(general.Accepts(flat));
+    EXPECT_EQ(flat.ToString(), general.ToString());
+    auto joined = Type::Join(flat, general);
+    ASSERT_TRUE(joined.ok());
+    EXPECT_EQ(*joined, general);
+    EXPECT_EQ(joined->Hash(), general.Hash());
+    // A tuple with a Bottom field is accepted by, and joins to, the flat one.
+    if (arity > 0) {
+      std::vector<Type> fields(arity, U());
+      fields[arity - 1] = Type::Bottom();
+      const Type partial = Type::Tuple(fields);
+      EXPECT_TRUE(flat.Accepts(partial));
+      EXPECT_FALSE(partial.Accepts(flat));
+      auto refined = Type::Join(partial, flat);
+      ASSERT_TRUE(refined.ok());
+      EXPECT_EQ(*refined, flat);
+    }
+    // Distinct arities stay distinct.
+    EXPECT_NE(flat, Type::FlatTuple(arity + 1));
+    auto mismatch = Type::Join(flat, Type::FlatTuple(arity + 1));
+    EXPECT_FALSE(mismatch.ok());
+    // The type of a row of atoms is the flat tuple type.
+    std::vector<Value> row(arity, MakeAtom("flat_row"));
+    const Type row_type = Value::Tuple(std::move(row)).type();
+    EXPECT_EQ(row_type, general);
+    EXPECT_EQ(row_type.Hash(), general.Hash());
+  }
+}
+
+TEST(TypeTest, MixedTuplesAreUnchanged) {
+  const Type mixed = Type::Tuple({U(), Type::Bag(U())});
+  EXPECT_EQ(mixed.ToString(), "[U, {{U}}]");
+  EXPECT_EQ(mixed.BagNesting(), 1);
+  EXPECT_NE(mixed, Type::FlatTuple(2));
+  EXPECT_FALSE(Type::Join(mixed, Type::FlatTuple(2)).ok());
+  const Value inner = Value::FromBag(MakeBagOf({MakeAtom("mixed_b")}));
+  const Value row = Value::Tuple({MakeAtom("mixed_a"), inner});
+  EXPECT_EQ(row.type(), mixed);
+  EXPECT_EQ(row.type().Hash(), mixed.Hash());
+  const Type nested = Type::Tuple({Type::FlatTuple(2), U()});
+  EXPECT_EQ(nested.ToString(), "[[U, U], U]");
+  const Value pair = MakeTuple({MakeAtom("n1"), MakeAtom("n2")});
+  EXPECT_EQ(MakeTuple({pair, MakeAtom("n3")}).type(), nested);
 }
 
 }  // namespace
